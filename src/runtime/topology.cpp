@@ -367,12 +367,33 @@ std::vector<int> Topology::CpusOnNode(int node) const {
   return out;
 }
 
-Topology Topology::OnNode(int node) const {
-  std::vector<TopoCpu> subset;
+Topology Topology::ForShard(int shard, int shards) const {
+  std::vector<int> nodes;  // distinct nodes, in placement order
   for (const TopoCpu& c : cpus_) {
-    if (c.node == node) subset.push_back(c);
+    if (std::find(nodes.begin(), nodes.end(), c.node) == nodes.end()) {
+      nodes.push_back(c.node);
+    }
   }
-  return Topology(std::move(subset));
+  if (nodes.empty() || shard < 0 || shard >= shards) {
+    return Topology(std::vector<TopoCpu>{});
+  }
+  const int n = static_cast<int>(nodes.size());
+  const int node = nodes[static_cast<std::size_t>(shard % n)];
+  // Shards k, k + n, k + 2n, ... share this node; this one is the
+  // (shard / n)-th of them.
+  const std::size_t sharing = static_cast<std::size_t>(
+      shards / n + (shard % n < shards % n ? 1 : 0));
+  const std::size_t slice = static_cast<std::size_t>(shard / n);
+  std::vector<TopoCpu> on_node;
+  for (const TopoCpu& c : cpus_) {
+    if (c.node == node) on_node.push_back(c);
+  }
+  const std::size_t begin = slice * on_node.size() / sharing;
+  const std::size_t end =
+      std::max(begin + 1, (slice + 1) * on_node.size() / sharing);
+  return Topology(std::vector<TopoCpu>(
+      on_node.begin() + static_cast<std::ptrdiff_t>(begin),
+      on_node.begin() + static_cast<std::ptrdiff_t>(end)));
 }
 
 int Topology::CpuForNode(int node, int total_nodes) const {

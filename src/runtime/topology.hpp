@@ -105,11 +105,15 @@ class Topology {
   /// CPUs of one NUMA node, in placement order.
   std::vector<int> CpusOnNode(int node) const;
 
-  /// The sub-topology covering only the CPUs of one NUMA node (possibly
-  /// empty when the node is not part of this topology). Sharded sessions
-  /// build per-shard placement plans from these subsets so every shard's
-  /// pipeline, channels and helper threads stay on its own node.
-  Topology OnNode(int node) const;
+  /// The share of this topology that shard `shard` of `shards` runs on.
+  /// Shards spread over the NUMA nodes round-robin in placement order
+  /// (shard k on node k mod nodes); when several shards map to one node,
+  /// each gets a disjoint, contiguous slice of that node's CPUs in
+  /// placement order (slices share a CPU only when the node has fewer CPUs
+  /// than shards). With no more shards than nodes a shard gets its whole
+  /// node. Sharded sessions build per-shard placement plans from these
+  /// shares, so no two shards pin their pipelines onto the same CPUs.
+  Topology ForShard(int shard, int shards) const;
 
   /// CPU for pipeline node `node` of a pipeline with `total_nodes` nodes
   /// (helper threads such as feeder and collector are registered after the

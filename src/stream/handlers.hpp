@@ -23,7 +23,7 @@ class OutputHandler {
  public:
   virtual ~OutputHandler() = default;
   virtual void OnResult(const ResultMsg<R, S>& result) = 0;
-  virtual void OnPunctuation(Timestamp tp) {}
+  virtual void OnPunctuation(Timestamp /*tp*/) {}
 
   /// Every result of a query epoch below the argument has been delivered
   /// (the collector saw the epoch marker of every pipeline node). Default

@@ -85,9 +85,12 @@ INSTANTIATE_TEST_SUITE_P(
                       HsjParam{6, 3}, HsjParam{2, 0}, HsjParam{4, 0},
                       HsjParam{6, 0}),
     [](const ::testing::TestParamInfo<HsjParam>& info) {
-      return "n" + std::to_string(info.param.nodes) +
-             (info.param.cap == 0 ? "bal"
-                                  : "cap" + std::to_string(info.param.cap));
+      return std::string("n")
+          .append(std::to_string(info.param.nodes))
+          .append(info.param.cap == 0
+                      ? std::string("bal")
+                      : std::string("cap").append(
+                            std::to_string(info.param.cap)));
     });
 
 TEST(Hsj, SingleNodeDegeneratesToKang) {

@@ -132,7 +132,8 @@ TEST_P(LlhjInvariants, CleanStateAfterQuiescence) {
 
 INSTANTIATE_TEST_SUITE_P(Nodes, LlhjInvariants, ::testing::Values(1, 2, 4, 6),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return std::string("n").append(
+                               std::to_string(info.param));
                          });
 
 class HsjInvariants : public ::testing::TestWithParam<int> {};
@@ -197,7 +198,8 @@ TEST_P(HsjInvariants, CleanStateAfterQuiescence) {
 
 INSTANTIATE_TEST_SUITE_P(Nodes, HsjInvariants, ::testing::Values(1, 2, 4, 6),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return std::string("n").append(
+                               std::to_string(info.param));
                          });
 
 TEST(Invariants, LlhjSurvivesAlternatingBurstTraffic) {

@@ -87,7 +87,9 @@ INSTANTIATE_TEST_SUITE_P(
       const char* p = info.param.policy == HomePolicy::kRoundRobin ? "rr"
                       : info.param.policy == HomePolicy::kBlock    ? "blk"
                                                                    : "hash";
-      return "n" + std::to_string(info.param.nodes) + p;
+      return std::string("n")
+          .append(std::to_string(info.param.nodes))
+          .append(p);
     });
 
 TEST(Llhj, SingleNodeDegeneratesToKang) {

@@ -142,6 +142,32 @@ TEST(Topology, SyntheticShapeEnumerates) {
   }
 }
 
+TEST(Topology, ForShardSlicesSharedNodesIntoDisjointCpuSets) {
+  // One NUMA node, several shards: each shard gets a disjoint, contiguous
+  // slice of the node's CPUs in placement order, so no two shards pin
+  // their first pipeline node onto the same CPU.
+  const Topology flat = Topology::Synthetic(4);
+  EXPECT_EQ(flat.ForShard(0, 2).cpus(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(flat.ForShard(1, 2).cpus(), (std::vector<int>{2, 3}));
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(flat.ForShard(k, 4).cpus(), (std::vector<int>{k}));
+  }
+  // No more shards than nodes: every shard keeps its whole node.
+  Topology::SyntheticShape shape;
+  shape.nodes_per_package = 2;
+  shape.cores_per_node = 2;
+  const Topology two = Topology::Synthetic(shape);
+  EXPECT_EQ(two.ForShard(0, 2).cpus(), two.CpusOnNode(0));
+  EXPECT_EQ(two.ForShard(1, 2).cpus(), two.CpusOnNode(1));
+  // Three shards on two nodes: shards 0 and 2 split node 0.
+  EXPECT_EQ(two.ForShard(0, 3).cpus(), (std::vector<int>{0}));
+  EXPECT_EQ(two.ForShard(1, 3).cpus(), two.CpusOnNode(1));
+  EXPECT_EQ(two.ForShard(2, 3).cpus(), (std::vector<int>{1}));
+  // Fewer CPUs than shards on a node: slices shrink to one CPU each.
+  EXPECT_EQ(flat.ForShard(4, 5).cpu_count(), 1);
+  EXPECT_EQ(flat.ForShard(5, 5).cpu_count(), 0);  // no such shard
+}
+
 TEST(Topology, ParseShapeSpecForms) {
   Topology::SyntheticShape shape;
   ASSERT_TRUE(Topology::ParseShapeSpec("16", &shape));
@@ -243,7 +269,9 @@ TEST(PlacementPlan, CompactCoLocatesNeighboursBeforeRemoteNodes) {
   }
   for (int h = 0; h < plan.helpers(); ++h) {
     const int cpu = plan.CpuForHelper(h);
-    if (cpu >= 0) EXPECT_TRUE(cpus.insert(cpu).second);
+    if (cpu >= 0) {
+      EXPECT_TRUE(cpus.insert(cpu).second);
+    }
   }
 
   // Node sequence along the pipeline is contiguous: a node is never

@@ -30,9 +30,11 @@ struct FuzzParam {
 };
 
 std::string FuzzName(const ::testing::TestParamInfo<FuzzParam>& info) {
-  return "n" + std::to_string(info.param.nodes) + "s" +
-         std::to_string(info.param.seed) +
-         (info.param.count_windows ? "cnt" : "time");
+  return std::string("n")
+      .append(std::to_string(info.param.nodes))
+      .append("s")
+      .append(std::to_string(info.param.seed))
+      .append(info.param.count_windows ? "cnt" : "time");
 }
 
 DriverScript<TR, TS> FuzzScript(const FuzzParam& param) {

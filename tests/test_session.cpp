@@ -2,8 +2,8 @@
 //  * config validation (clear std::invalid_argument on nonsense configs),
 //  * query-set rules (register before start, at least one query),
 //  * multi-query equivalence: one session with Q predicates produces
-//    exactly the union of Q independent StreamJoiners (per-query result
-//    sets compared, threaded and non-threaded, all engines),
+//    exactly the union of Q independent single-query sessions (per-query
+//    result sets compared, threaded and non-threaded, all engines),
 //  * batch PushR/PushS equivalence with the per-tuple loop,
 //  * QueryId routing and punctuation broadcast.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/join_session.hpp"
-#include "core/stream_joiner.hpp"
 
 #include "test_util.hpp"
 
@@ -88,15 +87,15 @@ void FeedBatched(Joinable& join, const Trace<TR, TS>& trace,
   }
 }
 
-/// The per-query oracle: an independent single-query StreamJoiner (Kang)
+/// The per-query oracle: an independent single-query JoinSession (Kang)
 /// over the same trace and windows.
 std::vector<ResultMsg<TR, TS>> OracleFor(const Trace<TR, TS>& trace,
                                          WindowSpec wr, WindowSpec ws,
                                          KeyBand pred) {
   CollectingHandler<TR, TS> handler;
-  StreamJoiner<TR, TS, KeyBand> joiner(
-      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false), &handler,
-      pred);
+  JoinSession<TR, TS, KeyBand> joiner(
+      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false));
+  joiner.AddQuery(pred, &handler);
   FeedPerTuple(joiner, trace);
   joiner.FinishInput();
   return handler.results();
@@ -299,9 +298,6 @@ TEST(SessionValidation, ConstructorValidates) {
   JoinConfig config;
   config.parallelism = 0;
   EXPECT_THROW((JoinSession<TR, TS, KeyEq>(config)), std::invalid_argument);
-  CollectingHandler<TR, TS> handler;
-  EXPECT_THROW((StreamJoiner<TR, TS, KeyEq>(config, &handler)),
-               std::invalid_argument);
 }
 
 TEST(SessionValidation, QuerySetRules) {
@@ -429,8 +425,9 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopNonThreaded) {
 
   CollectingHandler<TR, TS> per_tuple;
   {
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &per_tuple);
+    JoinSession<TR, TS, KeyEq> joiner(
+        BaseConfig(GetParam(), wr, ws, /*threaded=*/false));
+    joiner.AddQuery(KeyEq{}, &per_tuple);
     FeedPerTuple(joiner, trace);
     joiner.FinishInput();
     EXPECT_EQ(joiner.pipeline_anomalies(), 0u);
@@ -438,8 +435,9 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopNonThreaded) {
 
   for (std::size_t max_batch : {1u, 7u, 64u}) {
     CollectingHandler<TR, TS> batched;
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &batched);
+    JoinSession<TR, TS, KeyEq> joiner(
+        BaseConfig(GetParam(), wr, ws, /*threaded=*/false));
+    joiner.AddQuery(KeyEq{}, &batched);
     FeedBatched(joiner, trace, max_batch);
     joiner.FinishInput();
     EXPECT_EQ(joiner.pipeline_anomalies(), 0u);
@@ -458,15 +456,17 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopThreaded) {
 
   CollectingHandler<TR, TS> per_tuple;
   {
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &per_tuple);
+    JoinSession<TR, TS, KeyEq> joiner(
+        BaseConfig(GetParam(), wr, ws, /*threaded=*/false));
+    joiner.AddQuery(KeyEq{}, &per_tuple);
     FeedPerTuple(joiner, trace);
     joiner.FinishInput();
   }
 
   CollectingHandler<TR, TS> batched;
-  StreamJoiner<TR, TS, KeyEq> joiner(
-      BaseConfig(GetParam(), wr, ws, /*threaded=*/true), &batched);
+  JoinSession<TR, TS, KeyEq> joiner(
+      BaseConfig(GetParam(), wr, ws, /*threaded=*/true));
+  joiner.AddQuery(KeyEq{}, &batched);
   FeedBatched(joiner, trace, 32);
   joiner.FinishInput();
   joiner.Stop();
@@ -495,15 +495,17 @@ TEST_P(BatchPush, TinyCountWindowsMatchPerTupleLoopNonThreaded) {
     const WindowSpec ws = WindowSpec::Count(window);
     CollectingHandler<TR, TS> per_tuple;
     {
-      StreamJoiner<TR, TS, KeyEq> joiner(
-          BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &per_tuple);
+      JoinSession<TR, TS, KeyEq> joiner(
+          BaseConfig(GetParam(), wr, ws, /*threaded=*/false));
+      joiner.AddQuery(KeyEq{}, &per_tuple);
       FeedPerTuple(joiner, trace);
       joiner.FinishInput();
       ASSERT_EQ(joiner.pipeline_anomalies(), 0u) << "window " << window;
     }
     CollectingHandler<TR, TS> batched;
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &batched);
+    JoinSession<TR, TS, KeyEq> joiner(
+        BaseConfig(GetParam(), wr, ws, /*threaded=*/false));
+    joiner.AddQuery(KeyEq{}, &batched);
     FeedBatched(joiner, trace, 64);
     joiner.FinishInput();
     EXPECT_EQ(joiner.pipeline_anomalies(), 0u) << "window " << window;
@@ -631,9 +633,9 @@ std::vector<ResultMsg<TR, TS>> EpochOracleFor(const ChurnScenario& scenario,
                                               QueryId q) {
   Epoch current = 0;
   EpochStampingHandler handler(&current);
-  StreamJoiner<TR, TS, KeyBand> joiner(
-      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false), &handler,
-      PredOf(scenario, q));
+  JoinSession<TR, TS, KeyBand> joiner(
+      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false));
+  joiner.AddQuery(PredOf(scenario, q), &handler);
   std::size_t next_action = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     while (next_action < scenario.actions.size() &&

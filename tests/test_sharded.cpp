@@ -13,8 +13,7 @@
 //    retirement),
 //  * sharding-level loss accounting (forced sheds) matching the plain
 //    session under the identical shed schedule,
-//  * merged latency histograms and min-merged punctuations,
-//  * internal/external driver-mode mixing rejected.
+//  * merged latency histograms and min-merged punctuations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -637,31 +636,6 @@ TEST(Sharded, MergesLatencyHistogramsAndPunctuations) {
     EXPECT_GE(handler.punctuations()[i], handler.punctuations()[i - 1]);
   }
   EXPECT_EQ(sharded.pipeline_anomalies(), 0u);
-}
-
-// -- Driver-mode guard -------------------------------------------------------
-
-TEST(Sharded, MixingInternalAndExternalDriversRejected) {
-  CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, KeyEq> session(
-      BaseShard(Algorithm::kKang, WindowSpec::Count(4), WindowSpec::Count(4),
-                /*threaded=*/false));
-  session.AddQuery(KeyEq{}, &handler);
-  session.PushR(TR{1, 0}, 0);  // binds the internal driver
-  try {
-    session.PushRAt(TR{2, 1}, 1, 7);
-    FAIL() << "expected logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("PushRAt"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("internally"), std::string::npos);
-  }
-
-  JoinSession<TR, TS, KeyEq> external(
-      BaseShard(Algorithm::kKang, WindowSpec::Count(4), WindowSpec::Count(4),
-                /*threaded=*/false));
-  external.AddQuery(KeyEq{}, &handler);
-  external.PushRAt(TR{1, 0}, 0, 0);  // binds the external driver
-  EXPECT_THROW(external.PushS(TS{1, 1}, 1), std::logic_error);
 }
 
 }  // namespace
