@@ -26,9 +26,8 @@
 //
 //  * Runtime dispatch — the ladder AVX-512 -> AVX2 -> SSE2 -> scalar is
 //    selected ONCE at startup from cpuid (non-x86 builds compile the scalar
-//    table only). `SJOIN_FORCE_SCALAR=1` forces the scalar table (CI proves
-//    the fallback on every PR); `SJOIN_SIMD_LEVEL=scalar|sse2|avx2|avx512`
-//    clamps to any lower rung. Tests and benches switch levels in-process
+//    table only). `SJOIN_SIMD_LEVEL=scalar|sse2|avx2|avx512` clamps to any
+//    lower rung (`scalar` forces the fallback; CI proves it on every PR). Tests and benches switch levels in-process
 //    via OverrideSimdLevel (always clamped to what the host supports).
 //
 //  * Trait hooks — SimdEntryLanes<T> declares how a stored tuple type maps
@@ -102,13 +101,12 @@ inline SimdLevel DetectedSimdLevel() {
 
 namespace simd_internal {
 
-/// Startup level: detection clamped by the environment knobs. Read once.
+/// Startup level: detection clamped by SJOIN_SIMD_LEVEL. Read once.
 /// Misspelled knob values must not silently select the wrong path: a CI leg
 /// that *believes* it forced a rung has to actually run it, so anything
 /// unrecognized warns on stderr and keeps the detected level.
 inline SimdLevel EnvSimdLevel() {
   SimdLevel level = DetectedSimdLevel();
-  if (env::Flag("SJOIN_FORCE_SCALAR")) return SimdLevel::kScalar;
   const char* named = env::Raw("SJOIN_SIMD_LEVEL");
   if (named != nullptr && named[0] != '\0') {
     const std::string want(named);
@@ -138,7 +136,7 @@ inline std::atomic<int>& OverrideSlot() {
 }  // namespace simd_internal
 
 /// The level the dispatched kernel table follows. Selected once at startup
-/// (cpuid clamped by SJOIN_FORCE_SCALAR / SJOIN_SIMD_LEVEL), unless a test
+/// (cpuid clamped by SJOIN_SIMD_LEVEL), unless a test
 /// or bench installed an override.
 inline SimdLevel ActiveSimdLevel() {
   const int over = simd_internal::OverrideSlot().load(std::memory_order_relaxed);
@@ -298,7 +296,9 @@ inline void EqMaskU64Scalar(const uint64_t* v, std::size_t n, uint64_t key,
 // keys[i] == key AND lane i is live — one packed compare plus one byte AND
 // per group. Same masked-tail contract as every other kernel: bits >= n are
 // zero and dead-lane key bytes never influence the result (they may hold
-// stale values).
+// stale values). SSE2 is the widest rung here: the AVX2 and AVX-512 tables
+// reuse the SSE2 bodies, because wider group compares measured no faster
+// on the probe path (DESIGN.md Section 15).
 
 inline constexpr std::size_t kGroupLanes = 8;
 
@@ -648,55 +648,7 @@ __attribute__((target("avx2"))) inline void EqMaskU64Avx2(const uint64_t* v,
   }
 }
 
-__attribute__((target("avx2"))) inline void EqGroupsI64Avx2(
-    const int64_t* keys, const uint8_t* full, std::size_t n, int64_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
-  std::size_t i = 0;
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i + 4));
-    uint32_t bits =
-        static_cast<uint32_t>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(lo, vkey)))) |
-        (static_cast<uint32_t>(_mm256_movemask_pd(
-             _mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, vkey))))
-         << 4);
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) inline void EqGroupsI32Avx2(
-    const int32_t* keys, const uint8_t* full, std::size_t n, int32_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m256i vkey = _mm256_set1_epi32(key);
-  std::size_t i = 0;
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    uint32_t bits = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(x, vkey))));
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-// -- AVX-512 (16-wide i32 / 8-wide i64, native mask registers) ---------------
+// -- AVX-512 (16-wide i32, native mask registers) ----------------------------
 //
 // The compare-to-mask forms return the match bitmask directly (__mmask16 /
 // __mmask8) — no movemask round trip. Float range/band and the u64 Seq
@@ -761,58 +713,6 @@ __attribute__((target("avx512f"))) inline void EqMaskI32Avx512(
   }
 }
 
-__attribute__((target("avx512f"))) inline void EqGroupsI64Avx512(
-    const int64_t* keys, const uint8_t* full, std::size_t n, int64_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m512i vkey = _mm512_set1_epi64(static_cast<long long>(key));
-  std::size_t i = 0;
-  // One whole 8-lane group per compare: the __mmask8 IS the group mask.
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m512i x = _mm512_loadu_si512(keys + i);
-    uint32_t bits = static_cast<uint32_t>(_mm512_cmpeq_epi64_mask(x, vkey));
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) inline void EqGroupsI32Avx512(
-    const int32_t* keys, const uint8_t* full, std::size_t n, int32_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m512i vkey = _mm512_set1_epi32(key);
-  std::size_t i = 0;
-  // Two adjacent 8-lane groups per 512-bit compare; their occupancy bytes
-  // concatenate little-endian to match the 16 compare bits.
-  for (; i + 2 * kGroupLanes <= n; i += 2 * kGroupLanes) {
-    const __m512i x = _mm512_loadu_si512(keys + i);
-    uint32_t bits = static_cast<uint32_t>(_mm512_cmpeq_epi32_mask(x, vkey));
-    bits &= static_cast<uint32_t>(full[i >> 3]) |
-            (static_cast<uint32_t>(full[(i >> 3) + 1]) << 8);
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  if (i + kGroupLanes <= n) {
-    // One trailing whole group via the 256-bit form (AVX-512F implies AVX2).
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    uint32_t bits = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(x, _mm256_set1_epi32(key)))));
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-    i += kGroupLanes;
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 #endif  // SJOIN_SIMD_X86
 
 }  // namespace simd_kernels
@@ -873,6 +773,8 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::EqGroupsI64Sse2,
       &simd_kernels::EqGroupsI32Sse2,
   };
+  // Every rung above SSE2 reuses the SSE2 grouped-equality kernels (see
+  // the grouped-equality section note).
   static const SimdKernels avx2 = {
       "avx2",
       &simd_kernels::RangeMaskI32Avx2,
@@ -881,12 +783,12 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::BandEntryMaskF32Avx2,
       &simd_kernels::EqMaskI32Avx2,
       &simd_kernels::EqMaskU64Avx2,
-      &simd_kernels::EqGroupsI64Avx2,
-      &simd_kernels::EqGroupsI32Avx2,
+      &simd_kernels::EqGroupsI64Sse2,
+      &simd_kernels::EqGroupsI32Sse2,
   };
   // The float range/band sweeps and the u64 Seq sweep reuse their AVX2
-  // bodies (see the AVX-512 section note); the integer sweeps and the
-  // grouped-equality kernels get native 512-bit mask forms.
+  // bodies (see the AVX-512 section note); the integer sweeps get native
+  // 512-bit mask forms.
   static const SimdKernels avx512 = {
       "avx512",
       &simd_kernels::RangeMaskI32Avx512,
@@ -895,8 +797,8 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::BandEntryMaskF32Avx2,
       &simd_kernels::EqMaskI32Avx512,
       &simd_kernels::EqMaskU64Avx2,
-      &simd_kernels::EqGroupsI64Avx512,
-      &simd_kernels::EqGroupsI32Avx512,
+      &simd_kernels::EqGroupsI64Sse2,
+      &simd_kernels::EqGroupsI32Sse2,
   };
   switch (level) {
     case SimdLevel::kScalar:

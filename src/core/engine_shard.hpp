@@ -30,7 +30,6 @@
 #include "common/clock.hpp"
 #include "common/types.hpp"
 #include "hsj/hsj_pipeline.hpp"
-#include "llhj/home_policy.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/executor.hpp"
@@ -82,8 +81,6 @@ struct JoinConfig {
   /// Pipeline tuning. Capacities must be non-zero.
   std::size_t channel_capacity = 1024;
   std::size_t result_capacity = 1 << 16;
-  int msgs_per_step = 8;
-  HomePolicy home_policy = HomePolicy::kRoundRobin;
 
   /// Emit punctuations into the output stream (LLHJ only, Section 6).
   bool punctuate = false;
@@ -144,11 +141,6 @@ inline void ValidateJoinConfig(const JoinConfig& config) {
     throw std::invalid_argument("JoinConfig: result_capacity must be > 0, "
                                 "got " +
                                 std::to_string(config.result_capacity));
-  }
-  if (config.msgs_per_step < 1) {
-    throw std::invalid_argument(
-        "JoinConfig: msgs_per_step must be >= 1, got " +
-        std::to_string(config.msgs_per_step));
   }
   if (static_cast<uint8_t>(config.placement) >
       static_cast<uint8_t>(PlacementPolicy::kNone)) {
@@ -227,7 +219,6 @@ class EngineShard {
         typename HsjPipeline<R, S, Pred>::Options options;
         options.nodes = config_.parallelism;
         options.result_capacity = config_.result_capacity;
-        options.msgs_per_step = config_.msgs_per_step;
         const int64_t window_tuples = HsjWindowTuples();
         // Segments self-balance (capacity 0), adapting to the live window.
         // HSJ correctness requires the driver's lead over the pipeline to
@@ -252,8 +243,6 @@ class EngineShard {
         options.nodes = config_.parallelism;
         options.channel_capacity = config_.channel_capacity;
         options.result_capacity = config_.result_capacity;
-        options.msgs_per_step = config_.msgs_per_step;
-        options.home_policy = config_.home_policy;
         options.punctuate = config_.punctuate;
         options.placement = Placement();
         llhj_ = std::make_unique<LlhjPipeline<R, S, Pred>>(options, set,

@@ -42,9 +42,8 @@
 // with an empty lane): no cluster spans an open group, so every key's
 // lanes are revisited — and thus reinserted — in its own scan order.
 //
-// All lane arrays are carved from ONE slab (runtime/mempolicy.hpp
-// AllocateSlab), so a table above the huge-page threshold is backed by 2 MB
-// pages when the host offers them — rung (c) of the raw-speed ladder.
+// All lane arrays are carved from ONE page-aligned slab
+// (runtime/mempolicy.hpp AllocateSlab).
 //
 // The table stores (key, ref) lanes only; entry payloads and visit
 // semantics beyond the per-key order are the owning store's business
@@ -146,10 +145,8 @@ class GroupTable {
   /// RUN of groups per kernel call — from the probe's position through the
   /// first group with an empty lane, capped at 8 groups (one mask word)
   /// and at the physical table edge — so a duplicate-heavy cluster costs
-  /// one packed compare per 64 lanes instead of one indirect call per
-  /// group, and the wider rungs (AVX-512: two groups per compare) actually
-  /// see multi-group spans. The run-end scan reads only ctrl bytes already
-  /// in cache.
+  /// one kernel call per 64 lanes instead of one indirect call per group.
+  /// The run-end scan reads only ctrl bytes already in cache.
   template <typename F>
   void ForEachCandidate(K key, F&& f) const {
     if (groups_ == 0) return;
@@ -195,7 +192,6 @@ class GroupTable {
 
   std::size_t group_count() const { return groups_; }
   std::size_t tombstone_lanes() const { return tombs_; }
-  SlabBacking backing() const { return slab_.backing; }
 
  private:
   static constexpr std::size_t kMinGroups = 2;  // 16 lanes

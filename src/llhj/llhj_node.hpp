@@ -63,7 +63,6 @@
 #include "common/flat_hash.hpp"
 #include "common/seq_ring.hpp"
 #include "common/types.hpp"
-#include "llhj/home_policy.hpp"
 #include "llhj/store.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/spsc_queue.hpp"
@@ -86,9 +85,6 @@ class LlhjNode : public Steppable {
   struct Config {
     NodeId id = 0;
     int nodes = 1;
-    HomeAssigner home_r;
-    HomeAssigner home_s;
-    int msgs_per_step = 8;
   };
 
   struct Counters {
@@ -135,7 +131,7 @@ class LlhjNode : public Steppable {
     if constexpr (requires(Sink* s) { s->Drain(); }) {
       progress |= sink_->Drain();
     }
-    // Each side consumes up to msgs_per_step messages per step as a burst:
+    // Each side consumes up to kMsgsPerStep messages per step as a burst:
     // the messages are processed in place off PeekBurst spans and retired
     // with a single ConsumeBurst index update, instead of one
     // acquire/release pair per message. Per-channel FIFO order and the
@@ -166,25 +162,31 @@ class LlhjNode : public Steppable {
   bool IsLeftmost() const { return config_.id == 0; }
   bool IsRightmost() const { return config_.id == config_.nodes - 1; }
 
-  /// Consumes up to msgs_per_step left-input messages as bursts. Runs of
+  /// Home node of a tuple: round-robin over the pipeline "to ensure even
+  /// load balancing" (paper Section 4.3). A pure function of the sequence
+  /// number, so an expiry is routed to the same home as its arrival even
+  /// when it overtakes it (DESIGN.md, correctness refinement 2).
+  NodeId Home(Seq seq) const {
+    return static_cast<NodeId>(seq % static_cast<uint64_t>(config_.nodes));
+  }
+
+  /// Consumes up to kMsgsPerStep left-input messages as bursts. Runs of
   /// consecutive arrivals are probed against the store in a single pass
   /// (batch-aware matching); control messages are handled one by one.
   /// Stops early at a backpressure-capped arrival run.
   std::size_t ProcessLeftBurst() {
     return DrainBurstBudgetBatched(
-        left_in_, static_cast<std::size_t>(config_.msgs_per_step),
-        IsArrival<R>,
+        left_in_, kMsgsPerStep, IsArrival<R>,
         [this](FlowMsg<R>* msgs, std::size_t run) {
           return HandleLeftArrivals(msgs, run);
         },
         [this](FlowMsg<R>* msg) { return HandleLeft(msg); });
   }
 
-  /// Consumes up to msgs_per_step right-input messages as bursts.
+  /// Consumes up to kMsgsPerStep right-input messages as bursts.
   std::size_t ProcessRightBurst() {
     return DrainBurstBudgetBatched(
-        right_in_, static_cast<std::size_t>(config_.msgs_per_step),
-        IsArrival<S>,
+        right_in_, kMsgsPerStep, IsArrival<S>,
         [this](FlowMsg<S>* msgs, std::size_t run) {
           return HandleRightArrivals(msgs, run);
         },
@@ -213,7 +215,7 @@ class LlhjNode : public Steppable {
     // Fig 13 lines 5-6: the leftmost node assigns the home nodes.
     if (IsLeftmost()) {
       for (std::size_t j = 0; j < k; ++j) {
-        msgs[j].home = config_.home_r.Of(msgs[j].seq);
+        msgs[j].home = Home(msgs[j].seq);
       }
     }
     // Fig 13 line 7: expedite the whole run first to minimize latency.
@@ -271,7 +273,7 @@ class LlhjNode : public Steppable {
       case MsgKind::kExpiry: {  // of an S tuple, travelling toward h_s
         Seq seq = msg->seq;
         NodeId home = msg->home;
-        if (IsLeftmost()) home = config_.home_s.Of(seq);
+        if (IsLeftmost()) home = Home(seq);
         if (home == config_.id) {
           if (!ws_.EraseSeq(seq)) {
             tombstones_s_.Insert(seq);
@@ -333,7 +335,7 @@ class LlhjNode : public Steppable {
     // Fig 14 lines 5-6: the rightmost node assigns the home nodes.
     if (IsRightmost()) {
       for (std::size_t j = 0; j < k; ++j) {
-        msgs[j].home = config_.home_s.Of(msgs[j].seq);
+        msgs[j].home = Home(msgs[j].seq);
       }
     }
     // Fig 14 line 7: expedite first.
@@ -398,7 +400,7 @@ class LlhjNode : public Steppable {
       case MsgKind::kExpiry: {  // of an R tuple, travelling toward h_r
         Seq seq = msg->seq;
         NodeId home = msg->home;
-        if (IsRightmost()) home = config_.home_r.Of(seq);
+        if (IsRightmost()) home = Home(seq);
         if (home == config_.id) {
           if (!wr_.EraseSeq(seq)) {
             tombstones_r_.Insert(seq);

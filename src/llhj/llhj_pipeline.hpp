@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "llhj/home_policy.hpp"
 #include "llhj/llhj_node.hpp"
 #include "llhj/store.hpp"
 #include "runtime/executor.hpp"
@@ -37,10 +36,7 @@ class LlhjPipeline {
     int nodes = 4;
     std::size_t channel_capacity = 1024;
     std::size_t result_capacity = 1 << 16;
-    HomePolicy home_policy = HomePolicy::kRoundRobin;
-    int home_block = 64;
     bool punctuate = false;
-    int msgs_per_step = 8;
     /// Hardware placement: channel rings are homed on their CONSUMER's
     /// NUMA node (node k's input rings on k's node, result rings on the
     /// collector's). An empty plan (default) binds nothing. Register the
@@ -85,15 +81,10 @@ class LlhjPipeline {
       sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get()));
     }
 
-    const HomeAssigner home_r(options_.home_policy, n, options_.home_block);
-    const HomeAssigner home_s(options_.home_policy, n, options_.home_block);
     for (int k = 0; k < n; ++k) {
       typename Node::Config config;
       config.id = k;
       config.nodes = n;
-      config.home_r = home_r;
-      config.home_s = home_s;
-      config.msgs_per_step = options_.msgs_per_step;
       nodes_.push_back(std::make_unique<Node>(
           config, &registry_, sinks_[static_cast<std::size_t>(k)].get(),
           /*left_in=*/l2r_[static_cast<std::size_t>(k)].get(),

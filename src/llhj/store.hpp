@@ -204,10 +204,6 @@ class VectorStore {
     return n;
   }
 
-  /// Which mempolicy rung backs the SoA key lanes (pages below the
-  /// huge-page threshold, THP/hugetlb above it; kNone before first Grow).
-  SlabBacking lane_backing() const { return lane_seq_.backing(); }
-
   // -- FIFO access (HSJ window segments ride on the same ring) ---------------
 
   const StoreEntry<T>& Front() const { return At(0); }
@@ -340,8 +336,7 @@ class VectorStore {
   std::vector<StoreEntry<T>> entries_;
   // SoA key lanes mirroring the ring (same indexing as entries_): the Seq
   // lane always (packed expiry search), the predicate key lanes only for
-  // types with a SimdEntryLanes mapping. Slab-backed (mempolicy ladder) so
-  // big windows sit on huge pages — fewer TLB misses on the block sweeps.
+  // types with a SimdEntryLanes mapping. Page-aligned slabs (mempolicy).
   SlabArray<Seq> lane_seq_;
   SlabArray<int32_t> lane_k0_;
   SlabArray<float> lane_k1_;
@@ -482,11 +477,10 @@ class HashStore {
 
   std::size_t group_count() const { return table_.group_count(); }
   std::size_t tombstone_lanes() const { return table_.tombstone_lanes(); }
-  SlabBacking slab_backing() const { return table_.backing(); }
 
  private:
   /// Probe batch chunk: bounds the gather buffer while still giving the
-  /// prefetches of a full pipeline step (msgs_per_step-sized batches) time
+  /// prefetches of a full pipeline step (kMsgsPerStep-sized batches) time
   /// to land before their group is scanned.
   static constexpr std::size_t kProbeChunk = 32;
 

@@ -2,10 +2,7 @@
 
 #include <new>
 
-#include "common/env.hpp"
-
 #if defined(__linux__)
-#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -24,77 +21,17 @@ void FreePages(void* addr, std::size_t bytes) {
   ::operator delete(addr, std::align_val_t{kMemPageSize});
 }
 
-bool HugePagesEnabled() { return env::Flag("SJOIN_HUGE_PAGES", true); }
-
-std::size_t HugePageThresholdBytes() {
-  const long v = env::Int("SJOIN_HUGE_PAGE_MIN_BYTES",
-                          static_cast<long>(kHugePageSize));
-  return v < 0 ? 0 : static_cast<std::size_t>(v);
-}
-
-namespace {
-
-constexpr std::size_t RoundUpToHugePage(std::size_t bytes) {
-  const std::size_t pages = (bytes + kHugePageSize - 1) / kHugePageSize;
-  return (pages == 0 ? 1 : pages) * kHugePageSize;
-}
-
-}  // namespace
-
 Slab AllocateSlab(std::size_t bytes) {
   Slab slab;
   if (bytes == 0) return slab;
-#if defined(__linux__)
-  if (HugePagesEnabled() && bytes >= HugePageThresholdBytes()) {
-    const std::size_t huge_bytes = RoundUpToHugePage(bytes);
-    // Rung 1: reserved huge pages. Fails cleanly (ENOMEM) when the host
-    // has no hugetlb pool configured.
-    void* p = ::mmap(nullptr, huge_bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (p != MAP_FAILED) {
-      slab.addr = p;
-      slab.bytes = huge_bytes;
-      slab.backing = SlabBacking::kHugeTlb;
-      return slab;
-    }
-    // Rung 2: transparent huge pages. Only counts as this rung when the
-    // kernel actually accepted the advice (THP can be compiled out or set
-    // to "never"); otherwise the mapping is returned and we fall through.
-    p = ::mmap(nullptr, huge_bytes, PROT_READ | PROT_WRITE,
-               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-      if (::madvise(p, huge_bytes, MADV_HUGEPAGE) == 0) {
-        slab.addr = p;
-        slab.bytes = huge_bytes;
-        slab.backing = SlabBacking::kTransparentHuge;
-        return slab;
-      }
-      ::munmap(p, huge_bytes);
-    }
-  }
-#endif
-  const std::size_t page_bytes = RoundUpToPage(bytes);
-  slab.addr = AllocatePages(page_bytes);
-  slab.bytes = page_bytes;
-  slab.backing = SlabBacking::kPages;
+  slab.bytes = RoundUpToPage(bytes);
+  slab.addr = AllocatePages(slab.bytes);
   return slab;
 }
 
 void FreeSlab(Slab* slab) {
-  if (slab == nullptr) return;
-  switch (slab->backing) {
-    case SlabBacking::kNone:
-      break;
-    case SlabBacking::kPages:
-      FreePages(slab->addr, slab->bytes);
-      break;
-    case SlabBacking::kTransparentHuge:
-    case SlabBacking::kHugeTlb:
-#if defined(__linux__)
-      ::munmap(slab->addr, slab->bytes);
-#endif
-      break;
-  }
+  if (slab == nullptr || slab->addr == nullptr) return;
+  FreePages(slab->addr, slab->bytes);
   *slab = Slab{};
 }
 

@@ -15,20 +15,12 @@
 // fall back to the portable consumer-side first-touch/warming pass (see
 // SpscQueue::PrefaultByConsumer).
 //
-// Huge-page slab ladder (rung (c) of the raw-speed ladder): AllocateSlab
-// serves the large flat allocations — grouped hash-table lane slabs,
-// VectorStore SoA key lanes — and walks MAP_HUGETLB -> THP madvise ->
-// AllocatePages, reporting which rung actually backed the memory so tests
-// and placement introspection can see it. Knobs (parse-and-warn via
-// common/env.hpp, re-read per allocation so tests can vary them):
-//
-//   SJOIN_HUGE_PAGES=0           — disable the huge rungs entirely
-//   SJOIN_HUGE_PAGE_MIN_BYTES=N  — huge rungs only at/above N bytes
-//                                  (default: one 2 MB huge page)
+// Slabs: AllocateSlab / SlabArray serve the large flat allocations — the
+// grouped hash-table lane slab and the VectorStore SoA key lanes — as
+// page-rounded AllocatePages blocks.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <type_traits>
 #include <utility>
 
@@ -79,59 +71,24 @@ int CurrentNumaNode();
 bool MemPolicySupported();
 
 // ---------------------------------------------------------------------------
-// Huge-page slabs
+// Slabs
 // ---------------------------------------------------------------------------
 
-/// x86-64 small huge page; the granularity the huge rungs round up to.
-inline constexpr std::size_t kHugePageSize = 2u * 1024 * 1024;
-
-/// Which rung of the allocation ladder actually backed a slab.
-enum class SlabBacking : uint8_t {
-  kNone = 0,             ///< empty slab (no allocation)
-  kPages = 1,            ///< AllocatePages (4 KB pages, aligned operator new)
-  kTransparentHuge = 2,  ///< anonymous mmap + MADV_HUGEPAGE accepted
-  kHugeTlb = 3,          ///< reserved huge pages via MAP_HUGETLB
-};
-
-constexpr const char* ToString(SlabBacking backing) {
-  switch (backing) {
-    case SlabBacking::kNone:
-      return "none";
-    case SlabBacking::kPages:
-      return "pages";
-    case SlabBacking::kTransparentHuge:
-      return "thp";
-    case SlabBacking::kHugeTlb:
-      return "hugetlb";
-  }
-  return "?";
-}
-
 /// One flat allocation plus the bookkeeping FreeSlab needs. `bytes` is the
-/// rounded size actually mapped (>= the request). Storage is UNINITIALIZED
-/// regardless of rung (mmap zero-fills, operator new does not — callers
-/// must not rely on zeros).
+/// page-rounded size actually allocated (>= the request). Storage is
+/// UNINITIALIZED — callers must not rely on zeros.
 struct Slab {
   void* addr = nullptr;
   std::size_t bytes = 0;
-  SlabBacking backing = SlabBacking::kNone;
 };
 
-/// Allocates `bytes` (rounded up to the backing granularity) down the
-/// ladder MAP_HUGETLB -> THP madvise -> AllocatePages. The huge rungs are
-/// attempted only on Linux, when SJOIN_HUGE_PAGES is not disabled and the
-/// request meets SJOIN_HUGE_PAGE_MIN_BYTES; every failure falls through
-/// gracefully (no reserved huge pages and no THP support still yield a
-/// working slab on the pages rung). bytes == 0 returns an empty slab.
+/// Allocates `bytes` rounded up to whole pages via AllocatePages.
+/// bytes == 0 returns an empty slab.
 Slab AllocateSlab(std::size_t bytes);
 
-/// Releases an AllocateSlab allocation via whichever rung backed it and
-/// resets *slab to empty. Safe on an empty slab.
+/// Releases an AllocateSlab allocation and resets *slab to empty. Safe on
+/// an empty slab.
 void FreeSlab(Slab* slab);
-
-/// Current knob values (re-read from the environment on every call).
-bool HugePagesEnabled();
-std::size_t HugePageThresholdBytes();
 
 /// A flat array of trivially-copyable elements on a slab — the backing for
 /// the grouped hash-table lanes and the VectorStore SoA key lanes. Move-only
@@ -180,7 +137,6 @@ class SlabArray {
   const T& operator[](std::size_t i) const { return data()[i]; }
   std::size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
-  SlabBacking backing() const { return slab_.backing; }
 
  private:
   Slab slab_;

@@ -372,6 +372,10 @@ std::size_t DrainBurstBudget(SpscQueue<T>* queue, std::size_t budget,
   return done;
 }
 
+/// Messages a pipeline node (LLHJ and HSJ alike) consumes from each input
+/// channel per Step — the budget it hands to DrainBurstBudgetBatched.
+inline constexpr std::size_t kMsgsPerStep = 8;
+
 /// Batch-aware variant of DrainBurstBudget: maximal runs of messages for
 /// which `is_batchable` holds are handed as a whole to
 /// `batch_handler(T* run, std::size_t len)`, which processes a prefix in

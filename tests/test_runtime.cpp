@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -467,90 +468,26 @@ TEST(Affinity, PinToFirstCpuSucceedsOnLinux) {
 
 TEST(Affinity, PinToInvalidCpuFails) { EXPECT_FALSE(PinThisThread(-1)); }
 
-// -- Slab allocation and the huge-page ladder ---------------------------------
+// -- Slab allocation ----------------------------------------------------------
 
-/// Saves/restores one env knob (same shape as ScopedTopologyEnv) so the
-/// slab tests compose with CI legs that set the huge-page knobs globally.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(Slab, BackingNamesAreStable) {
-  EXPECT_STREQ(ToString(SlabBacking::kNone), "none");
-  EXPECT_STREQ(ToString(SlabBacking::kPages), "pages");
-  EXPECT_STREQ(ToString(SlabBacking::kTransparentHuge), "thp");
-  EXPECT_STREQ(ToString(SlabBacking::kHugeTlb), "hugetlb");
-}
-
-TEST(Slab, SmallAllocationUsesPlainPagesAndIsWritable) {
-  ScopedEnv on("SJOIN_HUGE_PAGES", "1");
-  ScopedEnv thresh("SJOIN_HUGE_PAGE_MIN_BYTES", nullptr);
-  Slab slab = AllocateSlab(4096);
+TEST(Slab, AllocationIsPageRoundedAndWritable) {
+  Slab slab = AllocateSlab(4096 + 1);
   ASSERT_NE(slab.addr, nullptr);
-  EXPECT_EQ(slab.backing, SlabBacking::kPages);  // below the 2 MB threshold
-  EXPECT_GE(slab.bytes, 4096u);
+  EXPECT_EQ(slab.bytes, 2 * kMemPageSize);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slab.addr) % kMemPageSize, 0u);
   auto* p = static_cast<unsigned char*>(slab.addr);
-  for (std::size_t i = 0; i < 4096; ++i) p[i] = static_cast<unsigned char>(i);
+  for (std::size_t i = 0; i <= 4096; ++i) p[i] = static_cast<unsigned char>(i);
   EXPECT_EQ(p[4095], static_cast<unsigned char>(4095));
   FreeSlab(&slab);
   EXPECT_EQ(slab.addr, nullptr);
-  EXPECT_EQ(slab.backing, SlabBacking::kNone);
+  EXPECT_EQ(slab.bytes, 0u);
 }
 
 TEST(Slab, ZeroBytesYieldsEmptySlab) {
   Slab slab = AllocateSlab(0);
   EXPECT_EQ(slab.addr, nullptr);
   EXPECT_EQ(slab.bytes, 0u);
-  EXPECT_EQ(slab.backing, SlabBacking::kNone);
   FreeSlab(&slab);  // no-op, must be safe
-}
-
-TEST(Slab, KnobDisablesHugeRungsEvenForBigRequests) {
-  ScopedEnv off("SJOIN_HUGE_PAGES", "0");
-  Slab slab = AllocateSlab(4 * kHugePageSize);
-  ASSERT_NE(slab.addr, nullptr);
-  EXPECT_EQ(slab.backing, SlabBacking::kPages);
-  FreeSlab(&slab);
-}
-
-// With the threshold lowered, a modest allocation climbs the ladder. Which
-// rung it lands on depends on host policy (hugetlb pool may be empty, THP
-// may be disabled), so the assertion is: a valid rung, usable memory, and
-// honest reporting (never kNone for a live slab).
-TEST(Slab, LoweredThresholdClimbsLadderGracefully) {
-  ScopedEnv on("SJOIN_HUGE_PAGES", "1");
-  ScopedEnv thresh("SJOIN_HUGE_PAGE_MIN_BYTES", "65536");
-  EXPECT_EQ(HugePageThresholdBytes(), 65536u);
-  Slab slab = AllocateSlab(256 * 1024);
-  ASSERT_NE(slab.addr, nullptr);
-  EXPECT_NE(slab.backing, SlabBacking::kNone);
-  auto* p = static_cast<unsigned char*>(slab.addr);
-  p[0] = 1;
-  p[256 * 1024 - 1] = 2;
-  EXPECT_EQ(p[0] + p[256 * 1024 - 1], 3);
-  FreeSlab(&slab);
 }
 
 TEST(Slab, SlabArrayResetMoveAndIndexing) {

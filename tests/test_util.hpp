@@ -65,9 +65,9 @@ struct TSKey {
 
 // SIMD probe mappings (common/simd.hpp) for the test schema: the pipeline
 // tests thereby run the packed-compare scan path end to end — and the CI
-// forced-scalar leg (SJOIN_FORCE_SCALAR=1) re-runs the very same tests on
-// the scalar fallback, pinning bit-identical results across dispatch
-// levels. Int key only: no float lane.
+// forced-scalar and forced-SSE2 legs (SJOIN_SIMD_LEVEL=scalar / =sse2)
+// re-run the very same tests on those rungs, pinning bit-identical results
+// across dispatch levels. Int key only: no float lane.
 namespace sjoin {
 
 template <>

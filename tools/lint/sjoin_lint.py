@@ -26,6 +26,14 @@ checks for:
                        src/common/thread_annotations.hpp — locks must be
                        the AnnotatedMutex/MutexLock wrappers so clang's
                        -Wthread-safety analysis can see them.
+  knob-inventory       the SJOIN_* names read through env:: in src/ are
+                       exactly the knobs documented in the CMakeLists.txt
+                       header (`#   SJOIN_NAME=...` lines). A read of an
+                       undocumented knob is flagged at its line; a
+                       documented knob that no linted file reads is
+                       flagged at the CMakeLists.txt header when the whole
+                       tree is linted (compile_commands mode), so a deleted
+                       knob cannot linger in the docs.
 
 Scope: files under src/ reachable from compile_commands.json (headers
 discovered transitively through #include "..." of in-repo paths). Pure
@@ -62,6 +70,12 @@ RAW_MUTEX = re.compile(r"\bstd\s*::\s*(mutex|lock_guard|unique_lock|"
                        r"scoped_lock|shared_mutex|recursive_mutex)\b")
 SWITCH_KIND = re.compile(r"\bswitch\s*\(")
 DEFAULT_LABEL = re.compile(r"(?<![\w_])default\s*:")
+# Knob reads: env::Raw/Flag/Int/Str/Present whose first argument is an
+# SJOIN_* string literal (matched on the raw text: strings are blanked in
+# the stripped copy, which keeps offsets, so call sites are found there).
+ENV_READ = re.compile(r"\benv\s*::\s*(Raw|Flag|Int|Str|Present)\s*\(")
+KNOB_LITERAL = re.compile(r'\s*"(SJOIN_[A-Z0-9_]+)"')
+DOCUMENTED_KNOB = re.compile(r"^#\s+(SJOIN_[A-Z0-9_]+)=", re.MULTILINE)
 LINT_AS = re.compile(r"//\s*LINT_AS:\s*(\S+)")
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
@@ -164,6 +178,8 @@ class Linter:
     def __init__(self, repo_root: str):
         self.repo_root = os.path.realpath(repo_root)
         self.findings = []
+        self.documented_knobs = documented_knobs(self.repo_root)
+        self.knobs_read: set[str] = set()
 
     def relpath(self, path: str) -> str:
         return os.path.relpath(os.path.realpath(path), self.repo_root)
@@ -225,6 +241,19 @@ class Linter:
                     "raw-new-delete", rel, line_of(code, m2.start()),
                     "raw delete-expression; see raw new-expression rule")
 
+        if in_src:
+            for m2 in ENV_READ.finditer(code):
+                lit = KNOB_LITERAL.match(raw, m2.end())
+                if not lit:
+                    continue
+                knob = lit.group(1)
+                self.knobs_read.add(knob)
+                if knob not in self.documented_knobs:
+                    self.report(
+                        "knob-inventory", rel, line_of(code, m2.start()),
+                        f"{knob} is read here but not documented in the "
+                        "CMakeLists.txt header knob list")
+
         if in_src and rel != "src/common/thread_annotations.hpp":
             for m2 in RAW_MUTEX.finditer(code):
                 self.report(
@@ -232,6 +261,25 @@ class Linter:
                     f"std::{m2.group(1)}; use sjoin::AnnotatedMutex / "
                     "sjoin::MutexLock (src/common/thread_annotations.hpp) "
                     "so -Wthread-safety sees the lock")
+
+
+def documented_knobs(repo_root: str) -> dict[str, int]:
+    """SJOIN_* knobs listed in the leading comment block of CMakeLists.txt,
+    mapped to their line numbers there."""
+    path = os.path.join(repo_root, "CMakeLists.txt")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return {}
+    header = []
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        header.append(line)
+    text = "\n".join(header)
+    return {m.group(1): line_of(text, m.start())
+            for m in DOCUMENTED_KNOB.finditer(text)}
 
 
 def gather_sources(compile_commands_path: str, repo_root: str):
@@ -306,6 +354,14 @@ def main(argv: list[str]) -> int:
 
     for path in files:
         linter.lint_file(path)
+    if not explicit:
+        # Whole-tree run: every documented knob must still be read somewhere.
+        for knob, line in sorted(linter.documented_knobs.items()):
+            if knob not in linter.knobs_read:
+                linter.report(
+                    "knob-inventory", "CMakeLists.txt", line,
+                    f"{knob} is documented but no file in src/ reads it "
+                    "through env::")
 
     for rel, line, rule, msg in sorted(linter.findings):
         print(f"{rel}:{line}: [{rule}] {msg}")
