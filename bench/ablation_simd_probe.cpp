@@ -1,30 +1,32 @@
-// Ablation: SIMD probe kernels vs the forced-scalar fallback on the
-// window-scan hot path (ROADMAP: SIMD band-join probe + SIMD multi-query
-// probe; DESIGN.md Section 9).
+// Ablation: SIMD tile kernels vs the forced-scalar fallback on the
+// window-scan hot path (DESIGN.md Section 9).
 //
 // The measured loop is exactly the pipeline nodes' store sweep: one
 // VectorStore window of W entries probed by k arrivals x Q registered
-// queries through MatchBatch — the same call LlhjNode::ScanBatchAgainstS /
+// queries through MatchBatch — the same call LlhjNode::ScanGroupAgainstS /
 // HsjNode::ScanBatchAgainstS issue per crossing. Three probe shapes cover
-// every kernel family:
+// every tile kernel:
 //
 //   band_entry — R probes the S window; band bounds computed per ENTRY
-//                (band_entry_i32 + band_entry_f32 kernels);
+//                (band_entry_tile, int + float terms);
 //   band_probe — S probes the R window; band bounds hoisted per PROBE
-//                (range_i32 + range_f32 kernels);
-//   equi       — key equality sweep (eq_i32 kernel);
+//                (band_probe_tile, int + float terms);
+//   equi       — key equality sweep (equi_tile);
 //   equi_hash  — the lane-grouped HashStore's batched probe (group-equality
-//                kernels, DESIGN.md Section 15) vs the retained chain-walk
-//                baseline, on churned windows; rows carry speedup_vs_chain
-//                and --require_hash_speedup gates it on any host with SSE2
-//                (the widest grouped-probe rung).
+//                kernels, DESIGN.md Section 15) vs the brute-force multimap
+//                store of tests/multimap_store.hpp, on churned windows; rows
+//                carry speedup_vs_multimap and --require_hash_speedup gates
+//                it on any host with SSE2 (the widest grouped-probe rung).
 //
-// Every supported dispatch level (scalar -> sse2 -> avx2 -> avx512) runs
-// the same sweep; the per-level result multisets are asserted identical
-// in-bench (bit-identical kernels are the correctness contract, not a best
-// effort).
+// The scan shapes run once per probe count in --probes (default 8, the
+// pipeline's per-step batch kMsgsPerStep, and 32, two full 16-probe
+// tiles). Every supported dispatch level (scalar -> sse2 -> avx2 -> avx512)
+// runs the same sweep; the per-level result multisets are asserted
+// identical in-bench (bit-identical kernels are the correctness contract,
+// not a best effort).
 // Throughput is reported as predicate evaluations per second
-// (W x k x Q x sweeps / wall), with speedup_vs_scalar per level.
+// (W x k x Q x sweeps / wall) and as ns per probe (one probe against the
+// whole window and all Q queries), with speedup_vs_scalar per level.
 // --require_speedup=N exits nonzero if the best SIMD level fails to reach
 // N x scalar (acceptance runs; CI smoke leaves it off — shared runners).
 #include <algorithm>
@@ -36,6 +38,7 @@
 #include "bench_common.hpp"
 #include "common/simd.hpp"
 #include "llhj/store.hpp"
+#include "multimap_store.hpp"
 #include "stream/query_set.hpp"
 
 using namespace sjoin;
@@ -45,7 +48,7 @@ namespace {
 
 struct Config {
   int64_t window = 16384;   ///< resident entries per sweep
-  int64_t probes = 8;       ///< k: arrival-run length (kMsgsPerStep shape)
+  std::vector<int64_t> probes;  ///< k values: arrival-run lengths swept
   int64_t queries = 4;      ///< Q: registered predicates
   double duration = 0.4;    ///< seconds per (shape, level) measurement
   int64_t key_domain = kPaperKeyDomain;
@@ -78,6 +81,7 @@ struct LevelStats {
   uint64_t sweeps = 0;
   ResultSig sig;
   double evals_per_sec = 0.0;
+  double ns_per_probe = 0.0;  ///< one probe vs the whole window, all queries
 };
 
 template <bool kProbeIsLeft, typename Store, typename Pred, typename ProbeT>
@@ -117,6 +121,9 @@ LevelStats MeasureLevel(SimdLevel level, const Store& store,
                        static_cast<double>(queries.size()) *
                        static_cast<double>(stats.sweeps);
   stats.evals_per_sec = stats.wall_s <= 0 ? 0.0 : evals / stats.wall_s;
+  const double probes_run =
+      static_cast<double>(probes.size()) * static_cast<double>(stats.sweeps);
+  stats.ns_per_probe = probes_run <= 0 ? 0.0 : stats.wall_s * 1e9 / probes_run;
   return stats;
 }
 
@@ -134,8 +141,9 @@ double RunShape(const char* shape, const Store& store,
   }
   const LevelStats& scalar = rows.front();
   double best_speedup = 1.0;
-  std::printf("  %-10s  %-7s  %12s  %10s  %14s  %8s\n", "shape", "level",
-              "sweeps", "matches", "evals/s", "speedup");
+  std::printf("  %-10s  %3s  %-7s  %10s  %10s  %12s  %10s  %8s\n", "shape",
+              "k", "level", "sweeps", "matches", "evals/s", "ns/probe",
+              "speedup");
   for (const LevelStats& row : rows) {
     if (!(row.sig == scalar.sig)) {
       std::printf("ERROR: %s result set differs between scalar and %s "
@@ -154,11 +162,11 @@ double RunShape(const char* shape, const Store& store,
     if (row.level != SimdLevel::kScalar && speedup > best_speedup) {
       best_speedup = speedup;
     }
-    std::printf("  %-10s  %-7s  %12llu  %10llu  %14.3e  %7.2fx\n", shape,
-                ToString(row.level),
+    std::printf("  %-10s  %3zu  %-7s  %10llu  %10llu  %12.3e  %10.1f  %7.2fx\n",
+                shape, probes.size(), ToString(row.level),
                 static_cast<unsigned long long>(row.sweeps),
                 static_cast<unsigned long long>(row.sig.count),
-                row.evals_per_sec, speedup);
+                row.evals_per_sec, row.ns_per_probe, speedup);
     JsonRow out;
     out.Str("shape", shape)
         .Str("level", ToString(row.level))
@@ -169,6 +177,7 @@ double RunShape(const char* shape, const Store& store,
         .Int("sweeps", static_cast<int64_t>(row.sweeps))
         .Num("wall_s", row.wall_s)
         .Num("evals_per_sec", row.evals_per_sec)
+        .Num("ns_per_probe", row.ns_per_probe)
         .Int("matches_per_sweep", static_cast<int64_t>(row.sig.count))
         .Num("speedup_vs_scalar", speedup)
         .Int("results_equal", 1);
@@ -180,18 +189,17 @@ double RunShape(const char* shape, const Store& store,
 
 /// Equi hash-probe ablation: the lane-grouped HashStore's batched probe
 /// (gather keys -> prefetch home groups -> 8-lane group-equality scans ->
-/// Seq-sorted emission) against the retained chain-walk baseline
-/// (ChainHashStore: one dependent pointer chase per duplicate). Both stores
-/// are built with identical CHURNED contents — insert W, then expire/insert
-/// 3W more in FIFO order so chain slots recycle through the free list, the
-/// steady-state window shape — and identical probe runs. The chain walk is
-/// scalar by construction (no kernels on its path). Each grouped dispatch
-/// level is measured PAIRED against the chain — alternating short chain /
-/// grouped slices, taking the median per-pair ratio — because on a shared
-/// host steal bursts last whole seconds and would otherwise land on one
-/// side of the division; adjacent slices are perturbed alike, so the pair
-/// ratio holds. Result multisets asserted identical to the chain's.
-/// Returns the best grouped speedup over the chain walk.
+/// insertion-ordered emission) against the brute-force multimap store
+/// (test::MultimapStore: one tree-node pointer chase per duplicate). Both
+/// stores are built with identical CHURNED contents — insert W, then
+/// expire/insert 2W more in FIFO order, the steady-state window shape — and
+/// identical probe runs. The multimap has no kernels on its path. Each
+/// grouped dispatch level is measured PAIRED against it — alternating short
+/// multimap / grouped slices, taking the median per-pair ratio — because on
+/// a shared host steal bursts last whole seconds and would otherwise land
+/// on one side of the division; adjacent slices are perturbed alike, so the
+/// pair ratio holds. Result multisets asserted identical to the multimap's.
+/// Returns the best grouped speedup over the multimap.
 /// Hash-shape measurement: unlike the scan shapes (fixed probes — the
 /// window IS the working set), hash probes touch only their candidates, so
 /// a fixed probe batch would leave every candidate slot L1-warm after one
@@ -260,7 +268,7 @@ SliceStats TimedHashSlice(const Store& store,
 double RunEquiHash(const Config& c, JsonEmitter* json) {
   Rng rng(c.seed + 1);
   HashStore<STuple, SKey, RKey> grouped;
-  ChainHashStore<STuple, SKey, RKey> chain;
+  test::MultimapStore<STuple, SKey, RKey> multimap;
   // 4x the scan window (an index probe does per-candidate work, not
   // per-entry, so the store must be big enough that candidates are not
   // cache-resident), ~16 duplicates per key: long enough runs that the
@@ -272,21 +280,21 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
   const auto push = [&] {
     const Stamped<STuple> t{MakeBandS(rng, domain), next_seq, 0, 0};
     grouped.Insert(t, false);
-    chain.Insert(t, false);
+    multimap.Insert(t, false);
     ++next_seq;
   };
   for (int64_t i = 0; i < window; ++i) push();
   for (int64_t i = 0; i < 2 * window; ++i) {
     grouped.EraseSeq(expire);
-    chain.EraseSeq(expire);
+    multimap.EraseSeq(expire);
     ++expire;
     push();
   }
   // Probe at the store's designed chunk width (HashStore::MatchBatch
   // pipelines candidate collection across 32-probe chunks): 4 arrival runs
-  // of c.probes handed to one batched call, the shape the sharded driver
-  // produces under load.
-  const std::size_t batch = static_cast<std::size_t>(4 * c.probes);
+  // of kMsgsPerStep handed to one batched call, the shape the sharded
+  // driver produces under load.
+  const std::size_t batch = 4 * kMsgsPerStep;
   std::vector<Stamped<RTuple>> pool;
   for (std::size_t j = 0; j < 512 * batch; ++j) {
     pool.push_back(Stamped<RTuple>{MakeBandR(rng, domain),
@@ -295,7 +303,7 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
   QuerySet<EquiPredicate> queries{EquiPredicate{}};
 
   const ResultSig base_sig =
-      FingerprintHash(SimdLevel::kScalar, chain, queries, pool, batch);
+      FingerprintHash(SimdLevel::kScalar, multimap, queries, pool, batch);
   const int64_t slice_ns = static_cast<int64_t>(c.duration * 1e9 / 3.0);
   constexpr int kRounds = 5;
   const auto evals_per_sec = [&](const SliceStats& s, std::size_t sz) {
@@ -303,25 +311,25 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
            static_cast<double>(queries.size()) * s.Rate();
   };
 
-  // Each level: kRounds adjacent chain/grouped slice pairs; the median
-  // pair ratio is the level's speedup over the chain walk. The best chain
+  // Each level: kRounds adjacent multimap/grouped slice pairs; the median
+  // pair ratio is the level's speedup over the multimap. The best multimap
   // slice seen anywhere becomes the reported baseline row.
-  std::size_t chain_cursor = 0;
-  SliceStats chain_best;
+  std::size_t base_cursor = 0;
+  SliceStats base_best;
   double grouped_scalar = 0.0;
   double best = 0.0;
   struct LevelRow {
     SimdLevel level;
     SliceStats slice;
-    double vs_chain = 0.0;
+    double vs_multimap = 0.0;
   };
   std::vector<LevelRow> rows;
   for (SimdLevel level : SupportedSimdLevels()) {
     const ResultSig sig =
         FingerprintHash(level, grouped, queries, pool, batch);
     if (!(sig == base_sig)) {
-      std::printf("ERROR: equi_hash result set differs between the chain "
-                  "baseline and grouped/%s (count %llu vs %llu, hash "
+      std::printf("ERROR: equi_hash result set differs between the "
+                  "multimap baseline and grouped/%s (count %llu vs %llu, hash "
                   "%016llx vs %016llx)\n",
                   ToString(level),
                   static_cast<unsigned long long>(base_sig.count),
@@ -336,9 +344,9 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
     std::array<double, kRounds> ratios{};
     for (int r = 0; r < kRounds; ++r) {
       const SliceStats cs =
-          TimedHashSlice(chain, queries, pool, batch, slice_ns,
-                         &chain_cursor);
-      if (cs.Rate() > chain_best.Rate()) chain_best = cs;
+          TimedHashSlice(multimap, queries, pool, batch, slice_ns,
+                         &base_cursor);
+      if (cs.Rate() > base_best.Rate()) base_best = cs;
       OverrideSimdLevel(level);
       const SliceStats gs =
           TimedHashSlice(grouped, queries, pool, batch, slice_ns, &cursor);
@@ -348,32 +356,32 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
           cs.Rate() <= 0 ? 0.0 : gs.Rate() / cs.Rate();
     }
     std::sort(ratios.begin(), ratios.end());
-    row.vs_chain = ratios[kRounds / 2];
+    row.vs_multimap = ratios[kRounds / 2];
     if (level == SimdLevel::kScalar) {
       grouped_scalar = evals_per_sec(row.slice, grouped.size());
     }
-    if (row.vs_chain > best) best = row.vs_chain;
+    if (row.vs_multimap > best) best = row.vs_multimap;
     rows.push_back(row);
   }
 
   std::printf("  %-10s  %-7s  %12s  %10s  %14s  %8s\n", "shape", "level",
-              "sweeps", "matches", "evals/s", "vs_chain");
+              "sweeps", "matches", "evals/s", "vs_multimap");
   std::printf("  %-10s  %-7s  %12llu  %10llu  %14.3e  %7.2fx\n", "equi_hash",
-              "chain", static_cast<unsigned long long>(chain_best.sweeps),
+              "multimap", static_cast<unsigned long long>(base_best.sweeps),
               static_cast<unsigned long long>(base_sig.count),
-              evals_per_sec(chain_best, chain.size()), 1.0);
+              evals_per_sec(base_best, multimap.size()), 1.0);
   JsonRow base_row;
   base_row.Str("shape", "equi_hash")
-      .Str("level", "chain")
+      .Str("level", "multimap")
       .Str("detected", ToString(DetectedSimdLevel()))
-      .Int("window", static_cast<int64_t>(chain.size()))
+      .Int("window", static_cast<int64_t>(multimap.size()))
       .Int("probes", static_cast<int64_t>(batch))
       .Int("queries", static_cast<int64_t>(queries.size()))
-      .Int("sweeps", static_cast<int64_t>(chain_best.sweeps))
-      .Num("wall_s", chain_best.wall_s)
-      .Num("evals_per_sec", evals_per_sec(chain_best, chain.size()))
+      .Int("sweeps", static_cast<int64_t>(base_best.sweeps))
+      .Num("wall_s", base_best.wall_s)
+      .Num("evals_per_sec", evals_per_sec(base_best, multimap.size()))
       .Int("matches_per_sweep", static_cast<int64_t>(base_sig.count))
-      .Num("speedup_vs_chain", 1.0)
+      .Num("speedup_vs_multimap", 1.0)
       .Int("results_equal", 1);
   json->Emit(base_row);
 
@@ -384,7 +392,7 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
                 "equi_hash", ToString(row.level),
                 static_cast<unsigned long long>(row.slice.sweeps),
                 static_cast<unsigned long long>(base_sig.count), eps,
-                row.vs_chain);
+                row.vs_multimap);
     JsonRow out;
     out.Str("shape", "equi_hash")
         .Str("level", ToString(row.level))
@@ -397,7 +405,7 @@ double RunEquiHash(const Config& c, JsonEmitter* json) {
         .Num("evals_per_sec", eps)
         .Int("matches_per_sweep", static_cast<int64_t>(base_sig.count))
         .Num("speedup_vs_scalar", vs_scalar)
-        .Num("speedup_vs_chain", row.vs_chain)
+        .Num("speedup_vs_multimap", row.vs_multimap)
         .Int("results_equal", 1);
     json->Emit(out);
   }
@@ -411,7 +419,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   Config c;
   c.window = flags.Int("window", c.window);
-  c.probes = flags.Int("probes", c.probes);
+  c.probes = flags.IntList("probes", "8,32");
   c.queries = flags.Int("queries", c.queries);
   c.duration = flags.Double("duration", c.duration);
   c.key_domain = flags.Int("domain", c.key_domain);
@@ -419,13 +427,10 @@ int main(int argc, char** argv) {
   c.require_speedup = flags.Double("require_speedup", 0.0);
   c.require_hash_speedup = flags.Double("require_hash_speedup", 0.0);
 
-  PrintHeader("ablation_simd_probe — packed scan-probe kernels vs "
-              "forced-scalar",
+  PrintHeader("ablation_simd_probe — SIMD tile kernels vs forced-scalar",
               "ROADMAP: SIMD band-join + multi-query probe (DESIGN.md S9)");
-  std::printf("window %lld, %lld probes x %lld queries, %.2fs per level, "
-              "detected %s\n\n",
+  std::printf("window %lld, %lld queries, %.2fs per level, detected %s\n\n",
               static_cast<long long>(c.window),
-              static_cast<long long>(c.probes),
               static_cast<long long>(c.queries), c.duration,
               ToString(DetectedSimdLevel()));
 
@@ -443,9 +448,11 @@ int main(int argc, char** argv) {
                               static_cast<Seq>(i), 0, 0},
               false);
   }
+  const int64_t max_probes =
+      c.probes.empty() ? 0 : *std::max_element(c.probes.begin(), c.probes.end());
   std::vector<Stamped<RTuple>> probe_r;
   std::vector<Stamped<STuple>> probe_s;
-  for (int64_t j = 0; j < c.probes; ++j) {
+  for (int64_t j = 0; j < max_probes; ++j) {
     probe_r.push_back(Stamped<RTuple>{MakeBandR(rng, c.key_domain),
                                       static_cast<Seq>(j), 0, 0});
     probe_s.push_back(Stamped<STuple>{MakeBandS(rng, c.key_domain),
@@ -463,12 +470,18 @@ int main(int argc, char** argv) {
   QuerySet<EquiPredicate> equi_queries{EquiPredicate{}};
 
   double best = 1.0;
-  best = std::max(best, RunShape<true>("band_entry", ws, band_queries,
-                                       probe_r, c, &json));
-  best = std::max(best, RunShape<false>("band_probe", wr, band_queries,
-                                        probe_s, c, &json));
-  best = std::max(best, RunShape<true>("equi", ws, equi_queries, probe_r, c,
-                                       &json));
+  for (int64_t k : c.probes) {
+    const std::vector<Stamped<RTuple>> run_r(probe_r.begin(),
+                                             probe_r.begin() + k);
+    const std::vector<Stamped<STuple>> run_s(probe_s.begin(),
+                                             probe_s.begin() + k);
+    best = std::max(best, RunShape<true>("band_entry", ws, band_queries,
+                                         run_r, c, &json));
+    best = std::max(best, RunShape<false>("band_probe", wr, band_queries,
+                                          run_s, c, &json));
+    best = std::max(best, RunShape<true>("equi", ws, equi_queries, run_r, c,
+                                         &json));
+  }
   const double hash_best = RunEquiHash(c, &json);
 
   if (c.require_speedup > 0 && DetectedSimdLevel() > SimdLevel::kScalar &&
@@ -480,12 +493,12 @@ int main(int argc, char** argv) {
   if (c.require_hash_speedup > 0 &&
       DetectedSimdLevel() >= SimdLevel::kSse2 &&
       hash_best < c.require_hash_speedup) {
-    std::printf("ERROR: grouped equi-probe speedup %.2fx over the chain walk "
+    std::printf("ERROR: grouped equi-probe speedup %.2fx over the multimap "
                 "below required %.2fx\n",
                 hash_best, c.require_hash_speedup);
     return 1;
   }
   std::printf("best SIMD speedup vs forced-scalar: %.2fx\n", best);
-  std::printf("grouped equi-probe speedup vs chain walk: %.2fx\n", hash_best);
+  std::printf("grouped equi-probe speedup vs multimap: %.2fx\n", hash_best);
   return 0;
 }

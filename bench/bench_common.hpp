@@ -74,6 +74,21 @@ class Flags {
     return v == nullptr ? def : *v;
   }
 
+  /// A comma-separated integer list, e.g. --nodes=1,2,4.
+  std::vector<int64_t> IntList(const std::string& name,
+                               const std::string& def) const {
+    const std::string list = Str(name, def);
+    std::vector<int64_t> out;
+    std::size_t pos = 0;
+    while (pos < list.size()) {
+      out.push_back(std::strtoll(list.c_str() + pos, nullptr, 10));
+      const auto comma = list.find(',', pos);
+      if (comma == std::string::npos) break;
+      pos = comma + 1;
+    }
+    return out;
+  }
+
   bool Bool(const std::string& name, bool def) const {
     const std::string* v = Find(name);
     if (v == nullptr) return def;

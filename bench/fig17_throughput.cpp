@@ -21,15 +21,8 @@ int main(int argc, char** argv) {
   const double duration = flags.Double("duration", 4.0);
   const int batch = static_cast<int>(flags.Int("batch", 64));
   std::vector<int> node_counts;
-  {
-    const std::string list = flags.Str("nodes", "1,2,4,8");
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-      node_counts.push_back(std::atoi(list.c_str() + pos));
-      const auto comma = list.find(',', pos);
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+  for (int64_t nodes : flags.IntList("nodes", "1,2,4,8")) {
+    node_counts.push_back(static_cast<int>(nodes));
   }
 
   JsonEmitter json(flags, "fig17_throughput");

@@ -84,8 +84,8 @@ static_assert(sizeof(RTuple) == 28 || sizeof(RTuple) == 32,
 // ---------------------------------------------------------------------------
 // SIMD probe mappings (common/simd.hpp) for the benchmark schema: the hot
 // predicate columns each tuple contributes to the store's SoA lanes, and
-// how the band/equi predicates decompose into packed-compare sweeps per
-// probe direction. The decompositions perform exactly the scalar
+// which tile kernel shape the band/equi predicates take per probe
+// direction. The decompositions perform exactly the scalar
 // predicates' arithmetic on the side where the scalar code computes it, so
 // kernel-driven result sets are bit-identical to the scalar path.
 // ---------------------------------------------------------------------------

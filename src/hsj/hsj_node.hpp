@@ -415,7 +415,7 @@ class HsjNode : public Steppable {
 
   /// One pass over the local S segment (entry-major: each resident tuple is
   /// loaded once and tested against the whole probe run and every query —
-  /// on the packed-compare kernels when the schema has a SIMD mapping).
+  /// on the SIMD tile kernels when the schema has a SIMD mapping).
   /// HSJ probe runs can straddle an epoch boundary (relocations), so the
   /// run is split into same-epoch groups first.
   void ScanBatchAgainstS(const Stamped<R>* rs, std::size_t k) {

@@ -13,10 +13,6 @@
 //    8 slot refs per group, probed 8-wide with the packed grouped-equality
 //    kernels, Swiss-table/F14 style. A flat seq -> slot table keeps expiry
 //    and expedition-end handling O(1) with no per-node allocation.
-//  * ChainHashStore — the pre-grouping implementation (intrusive per-key
-//    chains, one pointer chase per duplicate). Kept verbatim as the
-//    equivalence oracle and the chain-walk baseline the ablation bench
-//    measures the grouped probe path against; not used by any pipeline.
 //
 // R-side stores additionally carry the *expedition flag* of Section 4.2.3:
 // entries stay "expedited" until the tuple's expedition-end message returns
@@ -40,9 +36,9 @@
 // predicate columns — the int32 band/equi key, the optional float band key,
 // and the sequence number — in structure-of-arrays lanes that mirror the
 // entry ring (same head/mask indexing, moved in tandem on every insert,
-// erase and grow). MatchBatch sweeps those lanes with the packed-compare
-// kernels of common/simd.hpp: one loaded block of entries is tested against
-// k probes x N query predicates, the vector compares produce match bitmasks,
+// erase and grow). MatchBatch sweeps those lanes with the tile kernels of
+// common/simd.hpp: one loaded block of entries is tested against k probes x
+// N query predicates, each tile call yields one match bitmask per probe,
 // and result emission walks the set bits. Types without a SimdEntryLanes
 // mapping skip lane maintenance (except the always-present Seq lane) and
 // scan through the generic scalar path — results are identical either way.
@@ -143,9 +139,9 @@ class VectorStore {
   /// Tests every entry against k probes x N registered queries and calls
   /// f(j, q, entry) for each matching (probe j, query q, entry) combination.
   /// When the (Pred, ProbeT, T) direction has a SIMD mapping, the window is
-  /// swept in L1-resident blocks of key lanes: each block is loaded once,
-  /// the packed-compare kernels produce one match bitmask per (probe,
-  /// query), and emission walks the set bits. Otherwise this is the generic
+  /// swept in L1-resident blocks of key lanes: per block and query, one
+  /// tile-kernel call per 16 probes yields one match bitmask per probe, and
+  /// emission walks the set bits. Otherwise this is the generic
   /// entry-major scalar scan. Both paths produce identical result sets
   /// (same arithmetic; see common/simd.hpp). kProbeIsLeft gives the
   /// predicate argument order: true => pred(probe, entry).
@@ -160,10 +156,9 @@ class VectorStore {
     if constexpr (QuerySet<Pred>::template SimdCapable<ProbeT, T>() &&
                   !std::is_same_v<ProbeT, T>) {
       if (size_ == 0) return;
-      SimdMatchScratch scratch;
       const std::size_t first = std::min(size_, entries_.size() - head_);
-      SweepLanes(queries, probes, k, head_, 0, first, &scratch, f);
-      SweepLanes(queries, probes, k, 0, first, size_ - first, &scratch, f);
+      SweepLanes(queries, probes, k, head_, 0, first, f);
+      SweepLanes(queries, probes, k, 0, first, size_ - first, f);
     } else {
       for (std::size_t i = 0; i < size_; ++i) {
         const StoreEntry<T>& entry = At(i);
@@ -226,24 +221,29 @@ class VectorStore {
 
   /// One contiguous lane segment (physical offset `phys`, logical offset
   /// `base`, `len` entries), swept in kSimdBlock chunks: a chunk of both key
-  /// lanes stays L1-resident while all k probes and all N queries test it.
+  /// lanes stays L1-resident while every query tests it, one tile of up to
+  /// kTileProbes probes per kernel call. Emission order: block, query,
+  /// probe, entry ascending.
   template <typename Pred, typename ProbeT, typename F>
   void SweepLanes(const QuerySet<Pred>& queries, const Stamped<ProbeT>* probes,
                   std::size_t k, std::size_t phys, std::size_t base,
-                  std::size_t len, SimdMatchScratch* scratch, F&& f) const {
+                  std::size_t len, F&& f) const {
+    SimdMatchScratch tile;
     for (std::size_t off = 0; off < len; off += kSimdBlock) {
       const std::size_t n = std::min(kSimdBlock, len - off);
       SimdLaneBlock lanes;
       lanes.k0 = lane_k0_.data() + phys + off;
       if constexpr (Lanes::kHasF32) lanes.k1 = lane_k1_.data() + phys + off;
-      const std::size_t queries_n = queries.size();
-      for (std::size_t q = 0; q < queries_n; ++q) {
-        for (std::size_t j = 0; j < k; ++j) {
-          queries.template Matches<T>(static_cast<QueryId>(q),
-                                      probes[j].value, lanes, n, scratch);
-          ForEachSetBit(scratch->mask, n, [&](std::size_t i) {
-            f(j, static_cast<QueryId>(q), At(base + off + i));
-          });
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        for (std::size_t t = 0; t < k; t += kTileProbes) {
+          const std::size_t kt = std::min(kTileProbes, k - t);
+          queries.template Matches<T>(static_cast<QueryId>(q), probes + t, kt,
+                                      lanes, n, &tile);
+          for (std::size_t j = 0; j < kt; ++j) {
+            ForEachSetBit(tile.mask[j], n, [&](std::size_t i) {
+              f(t + j, static_cast<QueryId>(q), At(base + off + i));
+            });
+          }
         }
       }
     }
@@ -406,8 +406,8 @@ class HashStore {
   ///   3. emit probe by probe, prefetching the NEXT probe's slots while
   ///      the current one's entries run through QuerySet::MatchOriented —
   ///      each entry line is touched exactly once, with a probe's worth of
-  ///      prefetch lead (the chain walk's dependent next-pointer chase
-  ///      can overlap none of this — the measured gap in
+  ///      prefetch lead (a pointer-chasing index can overlap none of this —
+  ///      the measured gap to the multimap baseline in
   ///      bench/ablation_simd_probe.cpp equi_hash).
   /// Identical result sets at every SIMD level (the kernels share the
   /// scalar's arithmetic). Not reentrant: callbacks must not probe this
@@ -529,149 +529,6 @@ class HashStore {
   /// see the concurrency contract in DESIGN.md), so const probes may reuse
   /// it; probes are not reentrant.
   mutable std::vector<int32_t> refs_buf_;
-};
-
-/// The pre-grouping hash store: slot slab with intrusive per-key chains,
-/// one pointer chase per duplicate, probe-major scalar MatchBatch. Kept as
-/// (a) the equivalence oracle the grouped store is fuzzed against in
-/// tests/test_store_equivalence.cpp and (b) the chain-walk baseline
-/// bench/ablation_simd_probe.cpp measures the grouped probe path over. No
-/// pipeline instantiates it.
-template <typename T, typename OwnKey, typename ProbeKey>
-class ChainHashStore {
- public:
-  void Insert(const Stamped<T>& t, bool expedited) {
-    const int64_t key = OwnKey{}(t.value);
-    const int32_t slot = AllocSlot();
-    Slot& s = slots_[static_cast<std::size_t>(slot)];
-    s.entry = StoreEntry<T>{t, expedited};
-    s.key = key;
-    s.next = kNil;
-    bool created = false;
-    Chain& chain = chains_.GetOrInsert(key, &created);
-    if (created) {
-      chain.head = chain.tail = slot;
-      s.prev = kNil;
-    } else {
-      slots_[static_cast<std::size_t>(chain.tail)].next = slot;
-      s.prev = chain.tail;
-      chain.tail = slot;
-    }
-    seq_index_.Insert(t.seq, slot);
-    if (t.epoch > max_epoch_) max_epoch_ = t.epoch;
-    ++size_;
-  }
-
-  bool EraseSeq(Seq seq) {
-    const int32_t* found = seq_index_.Find(seq);
-    if (found == nullptr) return false;
-    const int32_t slot = *found;
-    const Slot& s = slots_[static_cast<std::size_t>(slot)];
-    Chain* chain = chains_.Find(s.key);
-    if (s.prev != kNil) {
-      slots_[static_cast<std::size_t>(s.prev)].next = s.next;
-    } else {
-      chain->head = s.next;
-    }
-    if (s.next != kNil) {
-      slots_[static_cast<std::size_t>(s.next)].prev = s.prev;
-    } else {
-      chain->tail = s.prev;
-    }
-    if (chain->head == kNil) chains_.Erase(s.key);
-    seq_index_.Erase(seq);
-    free_.push_back(slot);
-    --size_;
-    return true;
-  }
-
-  bool ClearExpedited(Seq seq) {
-    const int32_t* found = seq_index_.Find(seq);
-    if (found == nullptr) return false;
-    slots_[static_cast<std::size_t>(*found)].entry.expedited = false;
-    return true;
-  }
-
-  template <typename Probe, typename F>
-  void ForEach(const Probe& probe, F&& f) const {
-    const Chain* chain = chains_.Find(ProbeKey{}(probe));
-    if (chain == nullptr) return;
-    for (int32_t slot = chain->head; slot != kNil;
-         slot = slots_[static_cast<std::size_t>(slot)].next) {
-      f(slots_[static_cast<std::size_t>(slot)].entry);
-    }
-  }
-
-  /// Probe-major scalar: one chain walk per probe, one pointer chase per
-  /// stored duplicate — the behavior the grouped MatchBatch is benched
-  /// against.
-  template <bool kProbeIsLeft, typename Pred, typename ProbeT, typename F>
-  void MatchBatch(const QuerySet<Pred>& queries, const Stamped<ProbeT>* probes,
-                  std::size_t k, F&& f) const {
-    for (std::size_t j = 0; j < k; ++j) {
-      ForEach(probes[j].value, [&](const StoreEntry<T>& entry) {
-        queries.template MatchOriented<kProbeIsLeft>(
-            probes[j].value, entry.tuple.value,
-            [&](QueryId q) { f(j, q, entry); });
-      });
-    }
-  }
-
-  std::size_t size() const { return size_; }
-
-  Epoch max_epoch() const { return max_epoch_; }
-
-  /// Newest-first, matching HashStore/VectorStore (the ordering contract
-  /// test sweeps every store type).
-  template <typename F>
-  void ForEachEpochAfter(Epoch e, F&& f) const {
-    if (max_epoch_ <= e) return;
-    std::vector<int32_t> newer;
-    seq_index_.ForEach([&](const Seq&, const int32_t& slot) {
-      if (slots_[static_cast<std::size_t>(slot)].entry.tuple.epoch > e) {
-        newer.push_back(slot);
-      }
-    });
-    std::sort(newer.begin(), newer.end(), [&](int32_t a, int32_t b) {
-      return slots_[static_cast<std::size_t>(a)].entry.tuple.seq >
-             slots_[static_cast<std::size_t>(b)].entry.tuple.seq;
-    });
-    for (const int32_t slot : newer) {
-      f(slots_[static_cast<std::size_t>(slot)].entry);
-    }
-  }
-
- private:
-  static constexpr int32_t kNil = -1;
-
-  struct Slot {
-    StoreEntry<T> entry;
-    int64_t key = 0;      ///< join key, for chain maintenance on erase
-    int32_t prev = kNil;  ///< previous slot in this key's chain
-    int32_t next = kNil;  ///< next slot in this key's chain
-  };
-
-  struct Chain {
-    int32_t head = kNil;
-    int32_t tail = kNil;
-  };
-
-  int32_t AllocSlot() {
-    if (!free_.empty()) {
-      const int32_t slot = free_.back();
-      free_.pop_back();
-      return slot;
-    }
-    slots_.emplace_back();
-    return static_cast<int32_t>(slots_.size() - 1);
-  }
-
-  std::vector<Slot> slots_;
-  std::vector<int32_t> free_;
-  FlatMap<int64_t, Chain> chains_;
-  FlatMap<Seq, int32_t> seq_index_;
-  std::size_t size_ = 0;
-  Epoch max_epoch_ = 0;
 };
 
 /// Ordered (tree) index store for band/range predicates — the "different

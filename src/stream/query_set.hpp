@@ -95,44 +95,64 @@ class QuerySet {
            SimdEntryLanes<EntryT>::kEnabled;
   }
 
-  /// Vector compare of ONE registered query against one loaded block of
-  /// entry key lanes (the block form of Match — the SIMD probe hot path).
-  /// Fills scratch->mask with bit i <=> pred matches (probe, entry lane i),
-  /// for lanes [0, n), n <= kSimdBlock; bits >= n are zero (masked-tail
-  /// contract). The caller keeps the block loaded and sweeps it with every
-  /// (probe, query) combination before moving on — one entry load, k x N
-  /// vector compares. Kernel selection follows ActiveSimdLevel(); every
-  /// level computes exactly the scalar predicate's arithmetic, so driving
-  /// result emission off these bitmasks is bit-identical to Match.
+  /// Tile form of Match — the SIMD probe hot path: tests ONE registered
+  /// query for k <= kTileProbes probes against one block of entry key
+  /// lanes (n <= kSimdBlock) in a single tile-kernel call. Row j of
+  /// `scratch->mask` gets bit i <=> pred matches (probes[j], entry lane i),
+  /// for j < k and i < n; bits >= n are zero and rows >= k are untouched
+  /// (masked-tail contract). The per-probe operands are read once here and
+  /// the kernel table is looked up once per call; the kernel loads each
+  /// vector of lanes once for all k probes. Every level computes exactly
+  /// the scalar predicate's arithmetic, so driving result emission off
+  /// these bitmasks is bit-identical to Match.
   template <typename EntryT, typename ProbeT>
-  void Matches(QueryId q, const ProbeT& probe, const SimdLaneBlock& lanes,
-               std::size_t n, SimdMatchScratch* scratch) const {
+  void Matches(QueryId q, const Stamped<ProbeT>* probes, std::size_t k,
+               const SimdLaneBlock& lanes, std::size_t n,
+               SimdMatchScratch* scratch) const {
     using Traits = SimdProbeTraits<Pred, ProbeT, EntryT>;
     static_assert(Traits::kEnabled, "no SIMD mapping for this direction");
-    if constexpr (Traits::kShape != SimdPredShape::kEqui) {
-      static_assert(!Traits::kUseF32 || SimdEntryLanes<EntryT>::kHasF32,
-                    "predicate declares a float sweep (kUseF32) but the "
-                    "entry type has no float lane (kHasF32)");
-    }
     const SimdKernels& kernels = ActiveKernels();
     const Pred& pred = preds_[q];
     if constexpr (Traits::kShape == SimdPredShape::kEqui) {
-      kernels.eq_i32(lanes.k0, n, Traits::Key(pred, probe), scratch->mask);
-    } else if constexpr (Traits::kShape == SimdPredShape::kBandEntry) {
-      kernels.band_entry_i32(lanes.k0, n, Traits::Band0(pred),
-                             Traits::P0(probe), scratch->mask);
-      if constexpr (Traits::kUseF32) {
-        kernels.band_entry_f32(lanes.k1, n, Traits::Band1(pred),
-                               Traits::P1(probe), scratch->tmp);
-        AndMask(scratch->mask, scratch->tmp, n);
+      int32_t key[kTileProbes];
+      for (std::size_t j = 0; j < k; ++j) {
+        key[j] = Traits::Key(pred, probes[j].value);
       }
+      kernels.equi_tile(SimdLaneBlock{lanes.k0, nullptr}, n, key, k, scratch);
     } else {
-      kernels.range_i32(lanes.k0, n, Traits::Lo0(pred, probe),
-                        Traits::Hi0(pred, probe), scratch->mask);
-      if constexpr (Traits::kUseF32) {
-        kernels.range_f32(lanes.k1, n, Traits::Lo1(pred, probe),
-                          Traits::Hi1(pred, probe), scratch->tmp);
-        AndMask(scratch->mask, scratch->tmp, n);
+      static_assert(!Traits::kUseF32 || SimdEntryLanes<EntryT>::kHasF32,
+                    "predicate declares a float term (kUseF32) but the "
+                    "entry type has no float lane (kHasF32)");
+      const SimdLaneBlock use{lanes.k0, Traits::kUseF32 ? lanes.k1 : nullptr};
+      if constexpr (Traits::kShape == SimdPredShape::kBandEntry) {
+        int32_t p0[kTileProbes];
+        float p1[kTileProbes];
+        float band1 = 0.0f;
+        for (std::size_t j = 0; j < k; ++j) {
+          p0[j] = Traits::P0(probes[j].value);
+        }
+        if constexpr (Traits::kUseF32) {
+          band1 = Traits::Band1(pred);
+          for (std::size_t j = 0; j < k; ++j) {
+            p1[j] = Traits::P1(probes[j].value);
+          }
+        }
+        kernels.band_entry_tile(use, n, Traits::Band0(pred), band1, p0, p1,
+                                k, scratch);
+      } else {
+        int32_t lo0[kTileProbes];
+        int32_t hi0[kTileProbes];
+        float lo1[kTileProbes];
+        float hi1[kTileProbes];
+        for (std::size_t j = 0; j < k; ++j) {
+          lo0[j] = Traits::Lo0(pred, probes[j].value);
+          hi0[j] = Traits::Hi0(pred, probes[j].value);
+          if constexpr (Traits::kUseF32) {
+            lo1[j] = Traits::Lo1(pred, probes[j].value);
+            hi1[j] = Traits::Hi1(pred, probes[j].value);
+          }
+        }
+        kernels.band_probe_tile(use, n, lo0, hi0, lo1, hi1, k, scratch);
       }
     }
   }

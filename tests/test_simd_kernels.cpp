@@ -1,23 +1,28 @@
-// Exhaustive scalar-vs-SIMD equivalence for the packed probe kernels of
+// Exhaustive scalar-vs-SIMD equivalence for the probe kernels of
 // common/simd.hpp, on every dispatch level the host supports:
-//  * each kernel against the scalar reference on randomized inputs, with
-//    every tail length 0 .. 2*lane_width-1 (lane width 8 for AVX2 i32) plus
-//    block-sized and block+1 lengths — the masked-tail contract (bits >= n
-//    zero) is checked on every call;
-//  * boundary values: exact band edges, INT32_MIN/MAX, zero-width bands,
-//    negative zero and exact float bounds (inputs are NaN-free; the scalar
-//    predicate and the ordered vector compares agree on all of them);
+//  * each tile kernel (equi, entry-side band, probe-side band; float and
+//    int-only variants) against the scalar tile on randomized inputs over
+//    lane counts that straddle every vector width and the block size, and
+//    1..16 probes — the masked-tail contract (bits >= n zero, rows >= k and
+//    words past ceil(n/64) untouched) is checked on every call;
+//  * boundary values: int32 wraparound at INT32_MIN/MAX +- band, exact
+//    band edges, NaN and +-infinity floats;
+//  * the Seq-lane and grouped equality mask kernels, with every tail length
+//    0 .. 2*lane_width-1 plus block-sized lengths;
 //  * the dispatch ladder itself: detection, env-independent override
 //    clamping, and the kernel-table names;
 //  * the fused store scan: VectorStore::MatchBatch (SIMD path, ring
-//    wrapped and unwrapped) must produce exactly the generic scalar scan's
-//    (probe, query, entry) set on every level, for the paper schema (band
-//    int+float lanes, equi) and the int-only test schema.
+//    wrapped and unwrapped, multi-tile probe runs) must produce exactly the
+//    generic scalar scan's (probe, query, entry) set on every level, for
+//    the paper schema (band int+float lanes, equi) and the int-only test
+//    schema; the grouped HashStore must reproduce the multimap oracle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -34,8 +39,6 @@ namespace {
 
 using test::TR;
 using test::TS;
-
-
 
 /// Widest vector lane count across kernels (AVX-512 i32: 16); tails are
 /// swept to twice this.
@@ -101,205 +104,282 @@ TEST(SimdDispatch, KernelTableNamesMatchLevels) {
 #endif
 }
 
-// -- Per-kernel randomized equivalence ---------------------------------------
+// -- Tile kernels: every level against the scalar tile ----------------------
 
-TEST(SimdKernels, RangeI32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(1 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<int32_t> v(n);
-        for (auto& x : v) x = static_cast<int32_t>(rng.UniformInt(-50, 50));
-        const int32_t lo = static_cast<int32_t>(rng.UniformInt(-60, 60));
-        const int32_t hi = lo + static_cast<int32_t>(rng.UniformInt(-5, 40));
-        MaskBuf want(n), got(n);
-        ref.range_i32(v.data(), n, lo, hi, want.data());
-        k.range_i32(v.data(), n, lo, hi, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " lo=" << lo << " hi=" << hi;
-        ExpectTailZero(got.Covered(n), n);
-        EXPECT_EQ(got.Sentinel(), ~uint64_t{0});
+enum class TileShape { kEqui, kBandEntry, kBandProbe };
+
+constexpr const char* ToString(TileShape shape) {
+  switch (shape) {
+    case TileShape::kEqui:
+      return "equi";
+    case TileShape::kBandEntry:
+      return "band_entry";
+    case TileShape::kBandProbe:
+      return "band_probe";
+  }
+  return "?";
+}
+
+constexpr TileShape kTileShapes[] = {TileShape::kEqui, TileShape::kBandEntry,
+                                     TileShape::kBandProbe};
+
+/// Inputs of one tile call. Per-probe operands by shape: kEqui key = a0;
+/// kBandEntry p0 = a0, p1 = a1; kBandProbe lo0/hi0 = a0/b0, lo1/hi1 =
+/// a1/b1. Lanes are sized exactly n, so an overread shows under ASan.
+struct TileInput {
+  std::vector<int32_t> k0;
+  std::vector<float> k1;
+  bool f32 = true;  ///< false: int-only variant (null float lane)
+  int32_t band0 = 0;
+  float band1 = 0.0f;
+  std::array<int32_t, kTileProbes> a0{};
+  std::array<int32_t, kTileProbes> b0{};
+  std::array<float, kTileProbes> a1{};
+  std::array<float, kTileProbes> b1{};
+};
+
+/// Runs one tile kernel into `out`, which starts with every word ZERO
+/// except the words the contract says the kernel writes (rows < k, words
+/// < ceil(n/64)), which are poisoned so a word the kernel fails to write
+/// shows up.
+SimdMatchScratch RunTile(const SimdKernels& kernels, TileShape shape,
+                         const TileInput& in, std::size_t k) {
+  const std::size_t n = in.k0.size();
+  SimdMatchScratch out{};
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t w = 0; w < SimdMaskWords(n); ++w) {
+      out.mask[j][w] = ~uint64_t{0};
+    }
+  }
+  const SimdLaneBlock lanes{in.k0.data(), in.f32 ? in.k1.data() : nullptr};
+  switch (shape) {
+    case TileShape::kEqui:
+      kernels.equi_tile(SimdLaneBlock{in.k0.data(), nullptr}, n, in.a0.data(),
+                        k, &out);
+      break;
+    case TileShape::kBandEntry:
+      kernels.band_entry_tile(lanes, n, in.band0, in.band1, in.a0.data(),
+                              in.a1.data(), k, &out);
+      break;
+    case TileShape::kBandProbe:
+      kernels.band_probe_tile(lanes, n, in.a0.data(), in.b0.data(),
+                              in.a1.data(), in.b1.data(), k, &out);
+      break;
+  }
+  return out;
+}
+
+/// The masked-tail contract: bits >= n zero in the written words, and no
+/// write to rows >= k or to words past ceil(n/64).
+void ExpectTileContract(const SimdMatchScratch& got, std::size_t n,
+                        std::size_t k, const std::string& where) {
+  for (std::size_t j = 0; j < kTileProbes; ++j) {
+    for (std::size_t w = 0; w < kSimdBlockWords; ++w) {
+      const uint64_t word = got.mask[j][w];
+      if (j >= k || w >= SimdMaskWords(n)) {
+        ASSERT_EQ(word, 0u) << where << " row " << j << " word " << w
+                            << " outside the tile was written";
+      } else if (w + 1 == SimdMaskWords(n) && n % 64 != 0) {
+        ASSERT_EQ(word >> (n % 64), 0u)
+            << where << " row " << j << ": bits >= n must be zero";
       }
     }
   }
 }
 
-TEST(SimdKernels, RangeI32BoundaryValues) {
+/// Compares `kernels` with the scalar tile on one input and checks the
+/// contract on both.
+void ExpectTileMatchesScalar(const SimdKernels& kernels, TileShape shape,
+                             const TileInput& in, std::size_t k,
+                             const std::string& where) {
+  const SimdMatchScratch want =
+      RunTile(KernelsFor(SimdLevel::kScalar), shape, in, k);
+  const SimdMatchScratch got = RunTile(kernels, shape, in, k);
+  const std::string at = std::string(kernels.name) + " " + ToString(shape) +
+                         (in.f32 ? " f32" : " int-only") + " n=" +
+                         std::to_string(in.k0.size()) +
+                         " k=" + std::to_string(k) + " " + where;
+  ExpectTileContract(want, in.k0.size(), k, at + " (scalar)");
+  ExpectTileContract(got, in.k0.size(), k, at);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t w = 0; w < kSimdBlockWords; ++w) {
+      ASSERT_EQ(got.mask[j][w], want.mask[j][w])
+          << at << " row " << j << " word " << w;
+    }
+  }
+}
+
+/// Random tile input: small key and float domains so every shape matches
+/// often; band widths and probe bounds drawn to hit exact edges as well.
+TileInput RandomTileInput(Rng& rng, std::size_t n, bool f32) {
+  TileInput in;
+  in.f32 = f32;
+  in.k0.resize(n);
+  in.k1.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in.k0[i] = static_cast<int32_t>(rng.UniformInt(-40, 40));
+    in.k1[i] = static_cast<float>(rng.UniformInt(-160, 160)) * 0.25f;
+  }
+  in.band0 = static_cast<int32_t>(rng.UniformInt(0, 12));
+  in.band1 = static_cast<float>(rng.UniformInt(0, 48)) * 0.25f;
+  for (std::size_t j = 0; j < kTileProbes; ++j) {
+    in.a0[j] = static_cast<int32_t>(rng.UniformInt(-50, 50));
+    in.b0[j] = in.a0[j] + static_cast<int32_t>(rng.UniformInt(-3, 25));
+    in.a1[j] = static_cast<float>(rng.UniformInt(-200, 200)) * 0.25f;
+    in.b1[j] = in.a1[j] + static_cast<float>(rng.UniformInt(-8, 100)) * 0.25f;
+  }
+  return in;
+}
+
+const std::vector<std::size_t> kTileLanes = {0, 1, 15, 16, 17, 63, 64, 255,
+                                             256};
+const std::vector<std::size_t> kTileKs = {1, 7, 8, 16};
+
+TEST(SimdTiles, RandomizedMatchScalarAtEveryLevel) {
+  for (SimdLevel level : SupportedSimdLevels()) {
+    const SimdKernels& kernels = KernelsFor(level);
+    Rng rng(11 + static_cast<uint64_t>(level));
+    for (TileShape shape : kTileShapes) {
+      for (bool f32 : {true, false}) {
+        for (std::size_t n : kTileLanes) {
+          for (std::size_t k : kTileKs) {
+            for (int trial = 0; trial < 6; ++trial) {
+              ExpectTileMatchesScalar(kernels, shape,
+                                      RandomTileInput(rng, n, f32), k,
+                                      "trial " + std::to_string(trial));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTiles, ScalarTileMatchesPredicateDefinition) {
+  // The scalar tile is the reference the other levels are held to; pin it
+  // to the predicate arithmetic lane by lane.
+  Rng rng(5);
+  const SimdKernels& scalar = KernelsFor(SimdLevel::kScalar);
+  for (TileShape shape : kTileShapes) {
+    for (bool f32 : {true, false}) {
+      const TileInput in = RandomTileInput(rng, 256, f32);
+      const SimdMatchScratch got = RunTile(scalar, shape, in, kTileProbes);
+      for (std::size_t j = 0; j < kTileProbes; ++j) {
+        for (std::size_t i = 0; i < 256; ++i) {
+          bool want = false;
+          switch (shape) {
+            case TileShape::kEqui:
+              want = in.k0[i] == in.a0[j];
+              break;
+            case TileShape::kBandEntry:
+              want = in.a0[j] >= in.k0[i] - in.band0 &&
+                     in.a0[j] <= in.k0[i] + in.band0 &&
+                     (!f32 || (in.a1[j] >= in.k1[i] - in.band1 &&
+                               in.a1[j] <= in.k1[i] + in.band1));
+              break;
+            case TileShape::kBandProbe:
+              want = in.k0[i] >= in.a0[j] && in.k0[i] <= in.b0[j] &&
+                     (!f32 || (in.k1[i] >= in.a1[j] && in.k1[i] <= in.b1[j]));
+              break;
+          }
+          const bool bit = ((got.mask[j][i / 64] >> (i % 64)) & 1u) != 0;
+          ASSERT_EQ(bit, want) << ToString(shape) << " j=" << j << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTiles, Int32WrapAtEdges) {
+  // The entry-side band arithmetic is two's-complement wraparound (the
+  // _mm*_add/sub_epi32 semantics); entries, probes and probe bounds at
+  // INT32_MIN/MAX +- band must give the scalar tile's masks at every level.
   constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
   constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
-  const std::vector<int32_t> v = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax,
-                                  42,   42,       42};
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    for (auto [lo, hi] : std::vector<std::pair<int32_t, int32_t>>{
-             {kMin, kMax},  // everything
-             {kMax, kMin},  // empty (inverted)
-             {42, 42},      // exact point
-             {kMin, kMin},
-             {kMax, kMax},
-             {0, 0}}) {
-      MaskBuf want(v.size()), got(v.size());
-      ref.range_i32(v.data(), v.size(), lo, hi, want.data());
-      k.range_i32(v.data(), v.size(), lo, hi, got.data());
-      ASSERT_EQ(want.Covered(v.size()), got.Covered(v.size()))
-          << ToString(level) << " lo=" << lo << " hi=" << hi;
-    }
+  const std::vector<int32_t> edges = {kMax,     kMax - 1, kMax - 100, kMin,
+                                      kMin + 1, kMin + 100, 0, 1, -1};
+  TileInput in;
+  in.f32 = false;
+  for (std::size_t i = 0; i < 37; ++i) {
+    in.k0.push_back(edges[i % edges.size()]);
+    in.k1.push_back(0.0f);
   }
-}
-
-TEST(SimdKernels, RangeF32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
   for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(7 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<float> v(n);
-        for (auto& x : v) {
-          x = static_cast<float>(rng.UniformInt(-400, 400)) * 0.25f;
-        }
-        const float lo = static_cast<float>(rng.UniformInt(-400, 400)) * 0.25f;
-        const float hi = lo + static_cast<float>(rng.UniformInt(-20, 160)) * 0.25f;
-        MaskBuf want(n), got(n);
-        ref.range_f32(v.data(), n, lo, hi, want.data());
-        k.range_f32(v.data(), n, lo, hi, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " lo=" << lo << " hi=" << hi;
-        ExpectTailZero(got.Covered(n), n);
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, RangeF32BoundaryValues) {
-  // Exact bounds, negative zero, denormal-free extremes. NaN-free per the
-  // kernel contract (ordered compares and the scalar >= / <= agree anyway).
-  const std::vector<float> v = {-0.0f, 0.0f,  1.0f, -1.0f, 10.0f,
-                                10.0f, 9.99f, 1e30f, -1e30f, 0.5f};
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    for (auto [lo, hi] : std::vector<std::pair<float, float>>{
-             {0.0f, 0.0f},      // negative zero == zero
-             {-0.0f, 0.0f},
-             {10.0f, 10.0f},    // exact band edge
-             {-1e30f, 1e30f},
-             {1.0f, -1.0f}}) {  // inverted: empty
-      MaskBuf want(v.size()), got(v.size());
-      ref.range_f32(v.data(), v.size(), lo, hi, want.data());
-      k.range_f32(v.data(), v.size(), lo, hi, got.data());
-      ASSERT_EQ(want.Covered(v.size()), got.Covered(v.size()))
-          << ToString(level) << " lo=" << lo << " hi=" << hi;
-    }
-  }
-}
-
-TEST(SimdKernels, BandEntryI32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(13 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<int32_t> v(n);
-        for (auto& x : v) x = static_cast<int32_t>(rng.UniformInt(-100, 100));
-        const int32_t band = static_cast<int32_t>(rng.UniformInt(0, 20));
-        const int32_t probe = static_cast<int32_t>(rng.UniformInt(-120, 120));
-        MaskBuf want(n), got(n);
-        ref.band_entry_i32(v.data(), n, band, probe, want.data());
-        k.band_entry_i32(v.data(), n, band, probe, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " band=" << band
-            << " probe=" << probe;
-        ExpectTailZero(got.Covered(n), n);
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, BandEntryF32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(17 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<float> v(n);
-        for (auto& x : v) {
-          x = static_cast<float>(rng.UniformInt(-1000, 1000)) * 0.1f;
-        }
-        const float band = static_cast<float>(rng.UniformInt(0, 100)) * 0.1f;
-        const float probe =
-            static_cast<float>(rng.UniformInt(-1100, 1100)) * 0.1f;
-        MaskBuf want(n), got(n);
-        ref.band_entry_f32(v.data(), n, band, probe, want.data());
-        k.band_entry_f32(v.data(), n, band, probe, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " band=" << band
-            << " probe=" << probe;
-        ExpectTailZero(got.Covered(n), n);
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, BandEntryI32WrapsAtInt32Edges) {
-  // The band arithmetic is defined as two's-complement wraparound (matching
-  // _mm*_add/sub_epi32); entries at the int32 edges must produce the same
-  // mask on every level instead of tripping signed-overflow UB.
-  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
-  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
-  const std::vector<int32_t> v = {kMax, kMax - 1, kMin, kMin + 1, 0,
-                                  kMax, kMin,     1,    -1};
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
+    const SimdKernels& kernels = KernelsFor(level);
     for (int32_t band : {0, 1, 100, kMax}) {
-      for (int32_t probe : {kMin, -1, 0, 1, kMax}) {
-        MaskBuf want(v.size()), got(v.size());
-        ref.band_entry_i32(v.data(), v.size(), band, probe, want.data());
-        k.band_entry_i32(v.data(), v.size(), band, probe, got.data());
-        ASSERT_EQ(want.Covered(v.size()), got.Covered(v.size()))
-            << ToString(level) << " band=" << band << " probe=" << probe;
+      in.band0 = band;
+      for (std::size_t j = 0; j < kTileProbes; ++j) {
+        in.a0[j] = edges[j % edges.size()];
+        in.b0[j] = edges[(j + 3) % edges.size()];
+      }
+      for (TileShape shape : kTileShapes) {
+        ExpectTileMatchesScalar(kernels, shape, in, kTileProbes,
+                                "band " + std::to_string(band));
       }
     }
   }
 }
 
-TEST(SimdKernels, BandEntryExactEdges) {
-  // probe exactly on v - band and v + band must match (>= / <=).
-  const std::vector<int32_t> vi = {10, 10, 10, 20};
-  const std::vector<float> vf = {10.0f, 10.0f, 10.0f, 20.0f};
+TEST(SimdTiles, ExactBandEdgesMatch) {
+  // A probe exactly on v - band or v + band matches (>= / <=), in both the
+  // int and the float term, and one step outside does not.
+  TileInput in;
+  in.k0 = {10, 10, 10, 20};
+  in.k1 = {10.0f, 10.0f, 10.0f, 20.0f};
+  in.band0 = 3;
+  in.band1 = 3.0f;
+  in.a0 = {7, 13, 6, 14, 10};
+  in.a1 = {13.0f, 7.0f, 10.0f, 10.0f, 13.25f};
   for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    MaskBuf mi(vi.size());
-    k.band_entry_i32(vi.data(), vi.size(), 3, 7, mi.data());  // 7 == 10-3
-    EXPECT_EQ(mi.Covered(vi.size())[0] & 0xfu, 0x7u) << ToString(level);
-    MaskBuf mf(vf.size());
-    k.band_entry_f32(vf.data(), vf.size(), 3.0f, 13.0f, mf.data());  // 10+3
-    EXPECT_EQ(mf.Covered(vf.size())[0] & 0xfu, 0x7u) << ToString(level);
+    const SimdMatchScratch got =
+        RunTile(KernelsFor(level), TileShape::kBandEntry, in, 5);
+    EXPECT_EQ(got.mask[0][0], 0x7u) << ToString(level);  // 7 == 10-3
+    EXPECT_EQ(got.mask[1][0], 0x7u) << ToString(level);  // 13 == 10+3
+    EXPECT_EQ(got.mask[2][0], 0x0u) << ToString(level);  // int below
+    EXPECT_EQ(got.mask[3][0], 0x0u) << ToString(level);  // int above
+    EXPECT_EQ(got.mask[4][0], 0x0u) << ToString(level);  // float above
+    TileInput probe = in;
+    probe.a0 = {10, 11};
+    probe.b0 = {10, 20};
+    probe.a1 = {10.0f, 10.0f};
+    probe.b1 = {10.0f, 19.75f};
+    const SimdMatchScratch range =
+        RunTile(KernelsFor(level), TileShape::kBandProbe, probe, 2);
+    EXPECT_EQ(range.mask[0][0], 0x7u) << ToString(level);  // lo == hi == v
+    EXPECT_EQ(range.mask[1][0], 0x0u) << ToString(level);  // 20.0 > 19.75
   }
 }
 
-TEST(SimdKernels, EqI32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
+TEST(SimdTiles, NanAndInfinityFloats) {
+  // Ordered compares: NaN in a lane, a probe operand or a bound never
+  // matches, exactly like the scalar >= / <=; infinities compare normally
+  // (inf - band stays inf, so a +inf probe matches a +inf lane).
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {kNan, kInf, -kInf, 0.0f, -0.0f, 1.0f,
+                                       -1.0f, 3.0f};
+  Rng rng(17);
   for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(23 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<int32_t> v(n);
-        for (auto& x : v) x = static_cast<int32_t>(rng.UniformInt(0, 8));
-        const int32_t key = static_cast<int32_t>(rng.UniformInt(0, 10));
-        MaskBuf want(n), got(n);
-        ref.eq_i32(v.data(), n, key, want.data());
-        k.eq_i32(v.data(), n, key, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " key=" << key;
-        ExpectTailZero(got.Covered(n), n);
+    const SimdKernels& kernels = KernelsFor(level);
+    for (int trial = 0; trial < 20; ++trial) {
+      TileInput in = RandomTileInput(rng, 64 + static_cast<std::size_t>(trial),
+                                     /*f32=*/true);
+      for (auto& x : in.k0) x = 0;
+      for (auto& x : in.k1) {
+        x = specials[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(specials.size()) - 1))];
+      }
+      in.band0 = 0;
+      in.band1 = trial % 3 == 0 ? kInf : (trial % 3 == 1 ? kNan : 1.0f);
+      for (std::size_t j = 0; j < kTileProbes; ++j) {
+        in.a0[j] = 0;
+        in.b0[j] = 0;
+        in.a1[j] = specials[j % specials.size()];
+        in.b1[j] = specials[(j + trial) % specials.size()];
+      }
+      for (TileShape shape : {TileShape::kBandEntry, TileShape::kBandProbe}) {
+        ExpectTileMatchesScalar(kernels, shape, in, kTileProbes,
+                                "trial " + std::to_string(trial));
       }
     }
   }
@@ -553,16 +633,86 @@ TEST(SimdMatchBatch, TestSchemaIntOnlyLanesIdenticalAcrossLevels) {
   }
 }
 
+TEST(SimdMatchBatch, MultiTileProbeRunsBothDirectionsWrappedRing) {
+  // k = 37 probes = three tiles (16 + 16 + 5) against 3 queries over a
+  // wrapped ring, in both probe directions: every tile boundary, every
+  // query and both band shapes must reproduce the scalar oracle, and
+  // emission order must stay block, query, probe, entry ascending.
+  LevelGuard guard;
+  Rng rng(131);
+  const auto fill = [&](auto* store, auto make) {
+    Seq seq = 0;
+    for (int i = 0; i < 600; ++i) store->Insert(make(seq++), false);
+    for (Seq e = 0; e < 400; ++e) ASSERT_TRUE(store->EraseSeq(e));
+    for (int i = 0; i < 500; ++i) store->Insert(make(seq++), false);  // wraps
+  };
+  const auto make_s = [&](Seq seq) {
+    STuple s;
+    s.a = static_cast<int32_t>(rng.UniformInt(1, 120));
+    s.b = static_cast<float>(rng.UniformInt(1, 120));
+    return Stamped<STuple>{s, seq, 0, 0};
+  };
+  const auto make_r = [&](Seq seq) {
+    RTuple r;
+    r.x = static_cast<int32_t>(rng.UniformInt(1, 120));
+    r.y = static_cast<float>(rng.UniformInt(1, 120));
+    return Stamped<RTuple>{r, seq, 0, 0};
+  };
+  VectorStore<STuple> ws;
+  VectorStore<RTuple> wr;
+  fill(&ws, make_s);
+  fill(&wr, make_r);
+  QuerySet<BandPredicate> queries(std::vector<BandPredicate>{
+      BandPredicate{3, 3.0f}, BandPredicate{10, 10.0f},
+      BandPredicate{0, 120.0f}});
+  std::vector<Stamped<RTuple>> probe_r;
+  std::vector<Stamped<STuple>> probe_s;
+  for (Seq j = 0; j < 37; ++j) {
+    probe_r.push_back(make_r(j));
+    probe_s.push_back(make_s(j));
+  }
+  const auto oracle_r = OracleMatches<true>(ws, queries, probe_r);
+  const auto oracle_s = OracleMatches<false>(wr, queries, probe_s);
+  ASSERT_FALSE(oracle_r.empty());
+  ASSERT_FALSE(oracle_s.empty());
+  for (SimdLevel level : SupportedSimdLevels()) {
+    OverrideSimdLevel(level);
+    EXPECT_EQ(CollectMatches<true>(ws, queries, probe_r), oracle_r)
+        << ToString(level);
+    EXPECT_EQ(CollectMatches<false>(wr, queries, probe_s), oracle_s)
+        << ToString(level);
+    // Emission order within each block: query, then probe, then entry.
+    // The ring holds seqs 400..1099 at slots 400..1023 then 0..75 (capacity
+    // 1024), so the sweep's blocks are 256-lane chunks of each segment.
+    const auto block_of = [](Seq seq) {
+      const Seq i = seq - 400;
+      return i < 624 ? i / kSimdBlock : 100 + (i - 624) / kSimdBlock;
+    };
+    std::vector<Crossing> order;
+    ws.MatchBatch<true>(queries, probe_r.data(), probe_r.size(),
+                        [&](std::size_t j, QueryId q, const auto& entry) {
+                          order.push_back({j, q, entry.tuple.seq});
+                        });
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const auto [j0, q0, s0] = order[i - 1];
+      const auto [j1, q1, s1] = order[i];
+      if (block_of(s0) != block_of(s1)) continue;
+      EXPECT_TRUE(std::tie(q0, j0, s0) < std::tie(q1, j1, s1))
+          << ToString(level) << " emission " << i;
+    }
+  }
+}
+
 // The grouped equi store's batched probe (gather keys -> prefetch groups ->
-// 8-lane group scans -> Seq-sorted emission) must reproduce the chain-walk
-// baseline's crossings exactly on every dispatch level. ChainHashStore at
-// whatever level (its probe path is scalar pointer chasing) is the oracle;
-// churn leaves tombstoned lanes behind so the scan crosses dead groups.
-TEST(SimdMatchBatch, GroupedHashStoreIdenticalAcrossLevelsAndChainOracle) {
+// 8-lane group scans -> insertion-ordered emission) must reproduce the
+// brute-force multimap store's crossings exactly on every dispatch level
+// (the oracle has no kernels on its path). Churn leaves tombstoned lanes
+// behind so the scan crosses dead groups.
+TEST(SimdMatchBatch, GroupedHashStoreIdenticalAcrossLevelsAndMultimapOracle) {
   LevelGuard guard;
   Rng rng(113);
   HashStore<TS, test::TSKey, test::TRKey> grouped;
-  ChainHashStore<TS, test::TSKey, test::TRKey> chain;
+  test::MultimapStore<TS, test::TSKey, test::TRKey> multimap;
   std::vector<Seq> live;
   Seq seq = 0;
   for (int step = 0; step < 1200; ++step) {
@@ -570,18 +720,18 @@ TEST(SimdMatchBatch, GroupedHashStoreIdenticalAcrossLevelsAndChainOracle) {
       const Stamped<TS> e{
           TS{static_cast<int32_t>(rng.UniformInt(1, 40)), step}, seq, 0, 0};
       grouped.Insert(e, rng.Chance(0.3));
-      chain.Insert(e, rng.Chance(0.3));
+      multimap.Insert(e, rng.Chance(0.3));
       live.push_back(seq++);
     } else {
       const std::size_t pick = static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
       ASSERT_TRUE(grouped.EraseSeq(live[pick]));
-      ASSERT_TRUE(chain.EraseSeq(live[pick]));
+      ASSERT_TRUE(multimap.EraseSeq(live[pick]));
       live[pick] = live.back();
       live.pop_back();
     }
   }
-  ASSERT_EQ(grouped.size(), chain.size());
+  ASSERT_EQ(grouped.size(), multimap.size());
   QuerySet<test::KeyEq> queries{test::KeyEq{}};
   std::vector<Stamped<TR>> probes;
   for (std::size_t j = 0; j < 25; ++j) {
@@ -589,7 +739,7 @@ TEST(SimdMatchBatch, GroupedHashStoreIdenticalAcrossLevelsAndChainOracle) {
     probes.push_back(Stamped<TR>{
         TR{static_cast<int32_t>(rng.UniformInt(1, 44)), 0}, j, 0, 0});
   }
-  const auto oracle = CollectMatches<true>(chain, queries, probes);
+  const auto oracle = CollectMatches<true>(multimap, queries, probes);
   ASSERT_FALSE(oracle.empty());
   for (SimdLevel level : SupportedSimdLevels()) {
     OverrideSimdLevel(level);

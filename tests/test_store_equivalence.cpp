@@ -8,7 +8,7 @@
 // tombstone-chase shape), expedition-ends in insertion order, lookups of
 // absent seqs — the same shapes the schedule fuzzer produces through whole
 // pipelines in test_schedules.cpp. The lane-grouped HashStore additionally
-// runs lock-step against the retained chain-walk baseline (ChainHashStore)
+// runs lock-step against the brute-force multimap store (test::MultimapStore)
 // under tombstone-heavy churn, with batched-probe multiset checks.
 #include <gtest/gtest.h>
 
@@ -286,22 +286,22 @@ TEST(StoreEquivalence, FlatHashStoreMatchesSeedHashStore) {
   }
 }
 
-// -- Grouped store vs chain baseline under tombstone churn -------------------
+// -- Grouped store vs the multimap oracle under tombstone churn --------------
 
-// The lane-grouped HashStore against the retained chain-walk baseline
-// (ChainHashStore), in lock-step across every operation the store concept
-// exposes. The op mix is erase-heavy in bursts, so the grouped table
+// The lane-grouped HashStore against the brute-force multimap store
+// (test::MultimapStore), in lock-step across every operation the store
+// concept exposes. The op mix is erase-heavy in bursts, so the grouped table
 // accumulates tombstoned lanes, crosses its 7/8 occupancy trigger, and
 // exercises both rehash shapes (same-size tombstone purge and doubling).
 // Two key domains: small forces long duplicate runs spilling the inline
 // candidate buffer; large forces displacement across many groups.
-TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
+TEST(StoreEquivalence, GroupedHashStoreMatchesMultimapOracleUnderChurn) {
   using Crossing = std::tuple<std::size_t, QueryId, Seq>;
   for (const int32_t key_domain : {4, 4096}) {
     for (uint64_t trial = 1; trial <= 4; ++trial) {
       Rng rng(trial * 9001 + static_cast<uint64_t>(key_domain));
       HashStore<TR, TRKey, TSKey> grouped;
-      ChainHashStore<TR, TRKey, TSKey> chain;
+      test::MultimapStore<TR, TRKey, TSKey> oracle;
       Seq next_seq = 0;
       std::deque<Seq> live;
       std::deque<Seq> to_clear;
@@ -314,14 +314,14 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
           const int32_t key =
               static_cast<int32_t>(rng.UniformInt(1, key_domain));
           grouped.Insert(MakeTuple(key, next_seq), true);
-          chain.Insert(MakeTuple(key, next_seq), true);
+          oracle.Insert(MakeTuple(key, next_seq), true);
           live.push_back(next_seq);
           to_clear.push_back(next_seq);
           ++next_seq;
         } else if (dice < insert_p + 0.15 && !to_clear.empty()) {
           const Seq seq = to_clear.front();
           to_clear.pop_front();
-          ASSERT_EQ(grouped.ClearExpedited(seq), chain.ClearExpedited(seq));
+          ASSERT_EQ(grouped.ClearExpedited(seq), oracle.ClearExpedited(seq));
         } else if (dice < 0.97) {
           const std::size_t pick =
               rng.Chance(0.85) ? 0
@@ -329,17 +329,17 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
                                      0, static_cast<int64_t>(live.size()) - 1));
           const Seq seq = live[pick];
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-          ASSERT_EQ(grouped.EraseSeq(seq), chain.EraseSeq(seq));
+          ASSERT_EQ(grouped.EraseSeq(seq), oracle.EraseSeq(seq));
         } else {
           ASSERT_EQ(grouped.EraseSeq(next_seq + 7),
-                    chain.EraseSeq(next_seq + 7));
+                    oracle.EraseSeq(next_seq + 7));
         }
-        ASSERT_EQ(grouped.size(), chain.size())
+        ASSERT_EQ(grouped.size(), oracle.size())
             << "domain " << key_domain << " trial " << trial << " op " << op;
         if (op % 128 == 0) {
           // Per-key insertion-order snapshots on a handful of keys...
           for (int32_t key = 1; key <= std::min(key_domain, 5); ++key) {
-            ASSERT_EQ(Snapshot(grouped, key), Snapshot(chain, key))
+            ASSERT_EQ(Snapshot(grouped, key), Snapshot(oracle, key))
                 << "domain " << key_domain << " trial " << trial << " op "
                 << op << " key " << key;
           }
@@ -359,7 +359,7 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
               [&](std::size_t j, QueryId q, const StoreEntry<TR>& e) {
                 got.insert({j, q, e.tuple.seq});
               });
-          chain.MatchBatch<false>(
+          oracle.MatchBatch<false>(
               queries, probes.data(), probes.size(),
               [&](std::size_t j, QueryId q, const StoreEntry<TR>& e) {
                 want.insert({j, q, e.tuple.seq});

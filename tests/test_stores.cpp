@@ -205,10 +205,6 @@ TEST(EpochWalk, GroupedHashStoreVisitsNewestFirst) {
   CheckEpochWalkNewestFirst<HashStore<TR, TRKey, TSKey>>();
 }
 
-TEST(EpochWalk, ChainHashStoreVisitsNewestFirst) {
-  CheckEpochWalkNewestFirst<ChainHashStore<TR, TRKey, TSKey>>();
-}
-
 TEST(OrderedStore, RangeProbeVisitsOnlyBand) {
   TROrdered store;
   store.Insert(Make<TR>(1, 0), false);

@@ -27,6 +27,8 @@
 #include "stream/trace.hpp"
 #include "stream/window.hpp"
 
+#include "multimap_store.hpp"
+
 namespace sjoin::test {
 
 /// Minimal R-side tuple: a join key plus an identity payload.
@@ -64,10 +66,11 @@ struct TSKey {
 }  // namespace sjoin::test
 
 // SIMD probe mappings (common/simd.hpp) for the test schema: the pipeline
-// tests thereby run the packed-compare scan path end to end — and the CI
-// forced-scalar and forced-SSE2 legs (SJOIN_SIMD_LEVEL=scalar / =sse2)
-// re-run the very same tests on those rungs, pinning bit-identical results
-// across dispatch levels. Int key only: no float lane.
+// tests thereby run the SIMD tile scan path end to end — and the CI
+// forced-scalar, forced-SSE2 and forced-AVX2 legs (SJOIN_SIMD_LEVEL=scalar
+// / =sse2 / =avx2) re-run the very same tests on those rungs, pinning
+// bit-identical results across dispatch levels. Int key only: no float
+// lane, so these run the int-only tile variant.
 namespace sjoin {
 
 template <>
